@@ -34,6 +34,7 @@ from .data import Batch, BatchPlan, Dataset, batches, gen_gaussian_blobs, split
 from .optim import (
     Algorithm,
     DecayMode,
+    NonFiniteGradientError,
     OptimizerConfig,
     init_state,
     step,
@@ -268,17 +269,6 @@ class AggregateResult:
     seeds_per_problem: dict[str, int] = field(default_factory=dict)
 
 
-def lr_scale_for_epoch(
-    schedule: Sequence[tuple[int, float]], epoch: int
-) -> float:
-    """Product of the factors of all milestones <= epoch (0-based epochs)."""
-    scale = 1.0
-    for milestone, factor in schedule:
-        if milestone <= epoch:
-            scale *= factor
-    return scale
-
-
 def lr_scale_sequence(
     schedule: Sequence[tuple[int, float]], epochs: int
 ) -> list[float]:
@@ -335,42 +325,41 @@ def run_single(config: RunConfig, seed: int) -> RunResult:
             shuffle_seed=rng.derive_key(config.batch_plan.shuffle_seed, seed),
         )
 
-    realized_scales = []
+    scales = lr_scale_sequence(config.schedule, config.epochs)
     train_loss: list[float] = []
     eval_metric: list[float] = []
     diverged = False
     divergence_epoch: int | None = None
 
-    for epoch in range(config.epochs):
-        scale = lr_scale_for_epoch(config.schedule, epoch)
-        realized_scales.append(scale)
+    for epoch, scale in enumerate(scales):
         losses: list[float] = []
         epoch_batches = (
             batches(setup.train, plan, epoch) if setup.has_data else [None]
         )
         for batch in epoch_batches:
             loss, grad = problem.loss_grad(params, batch)
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+            if not math.isfinite(loss):
                 diverged = True
-                divergence_epoch = epoch
                 break
-            params = step(state, params, grad, config.optimizer, lr_scale=scale)
+            # step scans the gradient and raises before touching any state
+            try:
+                params = step(state, params, grad, config.optimizer, lr_scale=scale)
+            except NonFiniteGradientError:
+                diverged = True
+                break
             losses.append(loss)
         if diverged:
+            divergence_epoch = epoch
             break
         train_loss.append(float(np.mean(losses)))
         eval_metric.append(_evaluate(setup, params, config.metric))
 
-    expected = lr_scale_sequence(config.schedule, config.epochs)
-    assert realized_scales == expected[: len(realized_scales)], (
-        f"realized lr scales {realized_scales} diverge from schedule {expected}"
-    )
     log.info(
         "run %s/%s seed=%d: lr scales %s, %s",
         config.problem,
         config.optimizer.label,
         seed,
-        realized_scales,
+        scales,
         "diverged at epoch %s" % divergence_epoch if diverged else "ok",
     )
 
@@ -580,15 +569,26 @@ def aggregate_result_files(paths: Sequence[str | Path]) -> list[AggregateResult]
     """Aggregate saved per-config results files into table rows.
 
     Files sharing (label, problem) merge into one cell, so a config run
-    over two seed batches aggregates into a single row.
+    over two seed batches aggregates into a single row.  A seed that
+    appears twice in one cell is rejected, naming both files.
     """
     if not paths:
         raise ValueError("no results files given")
     cells: dict[tuple[str, int, str], list[RunResult]] = {}
     problems: list[str] = []
+    origin: dict[tuple[str, str, int], str | Path] = {}
     for path in paths:
         config, results = load_results(path)
-        key = (config.optimizer.label, 0, config.problem)
+        label = config.optimizer.label
+        for result in results:
+            seed_key = (label, config.problem, result.seed)
+            if seed_key in origin:
+                raise ValueError(
+                    f"{path}: seed {result.seed} of {label} on {config.problem} "
+                    f"repeats one from {origin[seed_key]}"
+                )
+            origin[seed_key] = path
+        key = (label, 0, config.problem)
         cells.setdefault(key, []).extend(results)
         if config.problem not in problems:
             problems.append(config.problem)

@@ -1,27 +1,35 @@
 """Adam-family step rules on flat float64 parameter buffers.
 
-The central rule is the blended update (``adafamily_step``), which squares
-
-    S = c * ((1 - mu) * g_t - mu * m_t),    c = 2 * (1 - |mu - 0.5|)
-
-inside the preconditioner recurrence
+Every algorithm here is one rule, ``step``.  The algorithms differ only in
+what gets squared into the preconditioner v and where eps sits:
 
     m_t = beta1 * m_{t-1} + (1 - beta1) * g_t
-    v_t = beta2 * v_{t-1} + (1 - beta2) * S**2 + eps
+    s_t = c * (p * g_t - q * m_t)
+    v_t = beta2 * v_{t-1} + (1 - beta2) * s_t**2 + eps_v
+    theta_t = theta_{t-1} - lr * m_hat / (sqrt(v_hat) + eps_den)
 
-so eps accumulates inside v each step and the update divides by sqrt of the
-bias-corrected v with no further eps:
+with m_hat, v_hat the bias-corrected moments and one row of constants per
+algorithm:
 
-    theta_t = theta_{t-1} - lr * m_hat / sqrt(v_hat)
+    algorithm      p       q    eps_v  eps_den
+    AdaFamily      1 - mu  mu   eps    0
+    Adam, AdamW    1       0    0      eps
+    AdaBelief      1       1    eps    eps
+    AdaMomentum    0       1    eps    0
 
-The blend endpoints recover familiar preconditioners: mu=0 squares the raw
-gradient, mu=0.5 squares the gradient-minus-momentum residual, and mu=1
-squares the momentum itself (identical to ``adamomentum_step``).  The four
-baselines keep their original eps placement: Adam/AdamW/AdaBelief divide by
-(sqrt(v_hat) + eps), AdaMomentum puts eps inside v like the blended rule.
+c = 2 * (1 - |mu - 0.5|) for AdaFamily and 1 otherwise; it is cached in
+the state.  For AdaFamily eps accumulates inside v every step, so
+v_t >= eps * (1 - beta2**t) / (1 - beta2) elementwise and the bare
+sqrt(v_hat) denominator can never vanish.  The blend endpoints recover
+familiar preconditioners: mu=0 squares the raw gradient, mu=0.5 the
+gradient-minus-momentum residual, and mu=1 the momentum itself (bitwise
+AdaMomentum).  The baselines keep their original eps placement.  Their
+extra terms (multiplying by 1, subtracting 0 * m, adding 0) are exact in
+IEEE arithmetic, so each baseline computes bit for bit what its textbook
+form does.
 
-All step functions mutate the state's m/v buffers in place (the state never
-allocates beyond those two vectors) and return a new parameter array.  A
+``step`` mutates the state's m/v buffers in place (the state never
+allocates beyond those two vectors) and returns a new parameter array.  A
 state must be driven by one thread at a time; distinct states are fully
 independent.
 """
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,162 +188,16 @@ def auxiliary_real_count(state: OptimizerState) -> int:
     return state.m.size + state.v.size
 
 
-def _check_step_inputs(
-    state: OptimizerState, params: np.ndarray, grad: np.ndarray, lr_scale: float
-) -> None:
-    if params.shape != (state.dim,) or grad.shape != (state.dim,):
-        raise BufferMismatchError(
-            f"state dim {state.dim}, params shape {params.shape}, grad shape {grad.shape}"
-        )
-    if not np.all(np.isfinite(grad)):
-        idx = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NonFiniteGradientError(f"non-finite gradient at index {idx} ({float(grad[idx])})")
-    if lr_scale <= 0.0:
-        raise ValueError(f"lr_scale must be > 0, got {lr_scale}")
-
-
-def _apply_decoupled_decay(
-    new_params: np.ndarray, params: np.ndarray, config: OptimizerConfig, lr_scale: float
-) -> np.ndarray:
-    # decay shrinks toward zero from the pre-update parameters, fused with the
-    # gradient step; the schedule multiplier scales the decay term too
-    if config.decay_mode is DecayMode.DECOUPLED and config.weight_decay > 0.0:
-        new_params = new_params - (lr_scale * config.alpha * config.weight_decay) * params
-    return new_params
-
-
-def adafamily_step(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float = 1.0,
-) -> np.ndarray:
-    """One blended update; returns new parameters, mutates state in place.
-
-    The squared signal uses the current step's m (updated on the line
-    before v), and eps enters v as a standalone additive term every step,
-    so v_t >= eps * (1 - beta2**t) / (1 - beta2) elementwise and the
-    sqrt(v_hat) denominator can never vanish.
-    """
-    _check_step_inputs(state, params, grad, lr_scale)
-    b1, b2 = config.beta1, config.beta2
-    state.t += 1
-    t = state.t
-    m, v = state.m, state.v
-    m[:] = b1 * m + (1.0 - b1) * grad
-    blended = state.c * ((1.0 - config.mu) * grad - config.mu * m)
-    v[:] = b2 * v + (1.0 - b2) * np.square(blended) + config.epsilon
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - (lr_scale * config.alpha) * (m_hat / np.sqrt(v_hat))
-    return _apply_decoupled_decay(new_params, params, config, lr_scale)
-
-
-def _adam_core(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float,
-    coupled: bool,
-) -> np.ndarray:
-    b1, b2 = config.beta1, config.beta2
-    state.t += 1
-    t = state.t
-    if coupled and config.weight_decay > 0.0:
-        grad = grad + config.weight_decay * params
-    m, v = state.m, state.v
-    m[:] = b1 * m + (1.0 - b1) * grad
-    v[:] = b2 * v + (1.0 - b2) * np.square(grad)
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    return params - (lr_scale * config.alpha) * (m_hat / (np.sqrt(v_hat) + config.epsilon))
-
-
-def adam_step(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float = 1.0,
-) -> np.ndarray:
-    """Classic Adam: v squares the raw gradient, eps sits in the denominator.
-
-    Coupled decay adds weight_decay * params to the gradient before the
-    moment updates.
-    """
-    _check_step_inputs(state, params, grad, lr_scale)
-    coupled = config.decay_mode is DecayMode.COUPLED
-    return _adam_core(state, params, grad, config, lr_scale, coupled)
-
-
-def adamw_step(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float = 1.0,
-) -> np.ndarray:
-    """Adam gradient path plus decoupled decay in the same step.
-
-    With weight_decay = 0 the output is bitwise identical to adam_step.
-    """
-    _check_step_inputs(state, params, grad, lr_scale)
-    new_params = _adam_core(state, params, grad, config, lr_scale, coupled=False)
-    return _apply_decoupled_decay(new_params, params, config, lr_scale)
-
-
-def adabelief_step(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float = 1.0,
-) -> np.ndarray:
-    """v squares the gradient-minus-momentum residual (with +eps in v), and
-    the update keeps a denominator eps as in the method's original form."""
-    _check_step_inputs(state, params, grad, lr_scale)
-    b1, b2 = config.beta1, config.beta2
-    state.t += 1
-    t = state.t
-    m, v = state.m, state.v
-    m[:] = b1 * m + (1.0 - b1) * grad
-    v[:] = b2 * v + (1.0 - b2) * np.square(grad - m) + config.epsilon
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - (lr_scale * config.alpha) * (m_hat / (np.sqrt(v_hat) + config.epsilon))
-    return _apply_decoupled_decay(new_params, params, config, lr_scale)
-
-
-def adamomentum_step(
-    state: OptimizerState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    config: OptimizerConfig,
-    lr_scale: float = 1.0,
-) -> np.ndarray:
-    """v squares the momentum itself, eps lives inside v, no denominator eps."""
-    _check_step_inputs(state, params, grad, lr_scale)
-    b1, b2 = config.beta1, config.beta2
-    state.t += 1
-    t = state.t
-    m, v = state.m, state.v
-    m[:] = b1 * m + (1.0 - b1) * grad
-    v[:] = b2 * v + (1.0 - b2) * np.square(m) + config.epsilon
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - (lr_scale * config.alpha) * (m_hat / np.sqrt(v_hat))
-    return _apply_decoupled_decay(new_params, params, config, lr_scale)
-
-
-_STEP_FUNCTIONS = {
-    Algorithm.ADAFAMILY: adafamily_step,
-    Algorithm.ADAM: adam_step,
-    Algorithm.ADAMW: adamw_step,
-    Algorithm.ADABELIEF: adabelief_step,
-    Algorithm.ADAMOMENTUM: adamomentum_step,
-}
+def _rule_constants(config: OptimizerConfig) -> tuple[float, float, float, float]:
+    """(p, q, eps_v, eps_den) of the configured algorithm's row in the rule."""
+    eps = config.epsilon
+    if config.algorithm is Algorithm.ADAFAMILY:
+        return 1.0 - config.mu, config.mu, eps, 0.0
+    if config.algorithm is Algorithm.ADABELIEF:
+        return 1.0, 1.0, eps, eps
+    if config.algorithm is Algorithm.ADAMOMENTUM:
+        return 0.0, 1.0, eps, 0.0
+    return 1.0, 0.0, 0.0, eps  # Adam, AdamW
 
 
 def step(
@@ -345,8 +207,53 @@ def step(
     config: OptimizerConfig,
     lr_scale: float = 1.0,
 ) -> np.ndarray:
-    """Dispatch one update to the configured algorithm."""
-    return _STEP_FUNCTIONS[config.algorithm](state, params, grad, config, lr_scale)
+    """One update of the configured algorithm; returns new parameters and
+    mutates the state's m, v and t in place.
+
+    A rejected call (mismatched shapes, a non-finite gradient, lr_scale <= 0)
+    raises before any state changes.  Coupled decay adds weight_decay * params
+    to the gradient; decoupled decay subtracts
+    lr_scale * alpha * weight_decay * params (pre-update) from the result.
+    """
+    if params.shape != (state.dim,) or grad.shape != (state.dim,):
+        raise BufferMismatchError(
+            f"state dim {state.dim}, params shape {params.shape}, grad shape {grad.shape}"
+        )
+    if not np.isfinite(grad).all():  # the method form skips np.all's dispatch
+        idx = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise NonFiniteGradientError(f"non-finite gradient at index {idx} ({float(grad[idx])})")
+    if lr_scale <= 0.0:
+        raise ValueError(f"lr_scale must be > 0, got {lr_scale}")
+    p, q, eps_v, eps_den = _rule_constants(config)
+    b1, b2 = config.beta1, config.beta2
+    lr = lr_scale * config.alpha
+    state.t += 1
+    t = state.t
+    if config.decay_mode is DecayMode.COUPLED and config.weight_decay > 0.0:
+        grad = grad + config.weight_decay * params
+    # each in-place operation below rounds exactly as the textbook
+    # expression it replaces; constants are never folded across operations
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    s = p * grad
+    s -= q * m
+    s *= state.c
+    np.square(s, out=s)
+    s *= 1.0 - b2
+    v *= b2
+    v += s
+    v += eps_v
+    den = np.divide(v, 1.0 - b2**t, out=s)
+    np.sqrt(den, out=den)
+    den += eps_den
+    update = m / (1.0 - b1**t)
+    update /= den
+    update *= lr
+    new_params = params - update
+    if config.decay_mode is DecayMode.DECOUPLED and config.weight_decay > 0.0:
+        new_params -= (lr * config.weight_decay) * params
+    return new_params
 
 
 _HEADER = struct.Struct("<qd")  # t, c
@@ -360,11 +267,24 @@ def dump_state(state: OptimizerState) -> bytes:
 
 
 def load_state(data: bytes) -> OptimizerState:
-    """Inverse of dump_state; the buffer length determines the dimension."""
+    """Inverse of dump_state; the buffer length determines the dimension.
+
+    Rejects a dump no step could have produced: t < 0, c outside [1, 2],
+    non-finite m or v, or negative v.
+    """
     body = len(data) - _HEADER.size
     if body < 16 or body % 16 != 0:
         raise ValueError(f"state dump has invalid length {len(data)}")
     t, c = _HEADER.unpack_from(data)
+    if t < 0:
+        raise ValueError(f"state dump has step counter t={t} < 0")
+    if not 1.0 <= c <= 2.0:
+        raise ValueError(f"state dump has factor c={c} outside [1, 2]")
     dim = body // 16
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    return OptimizerState(m=flat[:dim].copy(), v=flat[dim:].copy(), t=t, c=c)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("state dump has a non-finite entry in m or v")
+    m, v = flat[:dim].copy(), flat[dim:].copy()
+    if np.any(v < 0.0):
+        raise ValueError("state dump has a negative entry in v")
+    return OptimizerState(m=m, v=v, t=t, c=c)

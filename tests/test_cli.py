@@ -164,6 +164,12 @@ def test_table_missing_file_names_path(capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+def test_table_rejects_same_file_twice(capsys):
+    path = str(FIXTURES / "smoke" / "blobs-logreg--adabelief.json")
+    assert main(["table", path, path]) == 1
+    assert "adabelief.json" in capsys.readouterr().err
+
+
 def test_table_malformed_file_names_path(tmp_path, capsys):
     bad = tmp_path / "mangled.json"
     bad.write_text('{"version": 1}')

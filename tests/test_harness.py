@@ -23,7 +23,6 @@ from adafamily.harness import (
     canonical_row_key,
     default_lineup,
     load_results,
-    lr_scale_for_epoch,
     lr_scale_sequence,
     problem_names,
     register_problem,
@@ -75,17 +74,15 @@ def test_lr_scale_sequence_worked_example():
     assert lr_scale_sequence(((2, 0.5),), 4) == [1.0, 1.0, 0.5, 0.5]
 
 
-def test_lr_scale_for_epoch_is_product_of_passed_milestones():
-    schedule = ((2, 0.5), (5, 0.2))
-    expected = [1.0, 1.0, 0.5, 0.5, 0.5, 0.1, 0.1, 0.1]
-    for epoch, scale in enumerate(expected):
-        assert lr_scale_for_epoch(schedule, epoch) == pytest.approx(scale, rel=1e-15)
+def test_lr_scale_sequence_is_product_of_passed_milestones():
+    seq = lr_scale_sequence(((2, 0.5), (5, 0.2)), 8)
+    assert seq == [1.0, 1.0, 0.5, 0.5, 0.5, 0.1, 0.1, 0.1]
 
 
 def test_lr_scale_sequence_matches_per_epoch_closed_form():
-    schedule = ((1, 0.5), (4, 0.25), (6, 2.0))
-    seq = lr_scale_sequence(schedule, 9)
-    assert seq == [lr_scale_for_epoch(schedule, e) for e in range(9)]
+    # a factor above 1 raises the scale again
+    seq = lr_scale_sequence(((1, 0.5), (4, 0.25), (6, 2.0)), 9)
+    assert seq == [1.0, 0.5, 0.5, 0.5, 0.125, 0.125, 0.25, 0.25, 0.25]
 
 
 def test_desk_schedule_halves_twice():
@@ -264,14 +261,19 @@ def test_schedule_scales_realized_updates():
 
 
 class _CliffProblem(Problem):
-    """Linear slope that turns NaN once the iterate crosses a threshold."""
+    """Linear slope that turns NaN once the iterate crosses a threshold.
+
+    Past the cliff the gradient is NaN, and so is the loss unless
+    ``finite_loss`` is set.
+    """
 
     kind = "cliff"
     dim = 1
     requires_batch = False
 
-    def __init__(self, cliff):
+    def __init__(self, cliff, finite_loss=False):
         self.cliff = float(cliff)
+        self.finite_loss = finite_loss
 
     def init_params(self, seed):
         return np.zeros(1)
@@ -279,19 +281,21 @@ class _CliffProblem(Problem):
     def loss_grad(self, params, batch=None):
         self._check_eval(params, batch)
         if params[0] > self.cliff:
-            return float("nan"), np.array([float("nan")])
+            loss = -float(params[0]) if self.finite_loss else float("nan")
+            return loss, np.array([float("nan")])
         return -float(params[0]), np.array([-1.0])
 
 
-def _register_cliff(name, cliff):
-    register_problem(name, lambda: ProblemSetup(problem=_CliffProblem(cliff)))
+def _register_cliff(name, cliff, finite_loss=False):
+    register_problem(
+        name, lambda: ProblemSetup(problem=_CliffProblem(cliff, finite_loss))
+    )
 
 
-def test_divergent_run_flags_epoch_and_aborts():
+def _assert_aborts_in_epoch_3(name, finite_loss):
     # Adam walks +alpha per step up the slope; with alpha=1e-3 the iterate
     # crosses 2.5e-3 during epoch 3 (steps land near 1e-3, 2e-3, 3e-3, ...)
-    name = "cliff-a"
-    _register_cliff(name, cliff=2.5e-3)
+    _register_cliff(name, cliff=2.5e-3, finite_loss=finite_loss)
     try:
         config = _quad_config(problem=name, epochs=10)
         result = run_single(config, seed=0)
@@ -302,6 +306,15 @@ def test_divergent_run_flags_epoch_and_aborts():
     finally:
         del _PROBLEM_BUILDERS[name]
         build_problem.cache_clear()
+
+
+def test_divergent_run_flags_epoch_and_aborts():
+    _assert_aborts_in_epoch_3("cliff-a", finite_loss=False)
+
+
+def test_nan_gradient_with_finite_loss_diverges_the_same_way():
+    # only the optimizer's gradient scan can catch this one
+    _assert_aborts_in_epoch_3("cliff-c", finite_loss=True)
 
 
 def test_divergent_runs_excluded_from_means():
@@ -529,6 +542,18 @@ def test_aggregate_result_files_merges_seed_batches(tmp_path):
     merged = aggregate_result_files([path_a, path_b])
     assert len(merged) == 1
     assert merged[0].seeds_per_problem["quadratic"] == 2
+
+
+def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
+    config = _quad_config(epochs=2, seeds=(0, 1))
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    save_results(path_a, config, run_config(config))
+    save_results(path_b, dataclasses.replace(config, seeds=(1,)), run_config(config)[1:])
+    with pytest.raises(ValueError, match="seed 1 of Adam on quadratic") as info:
+        aggregate_result_files([path_a, path_b])
+    assert "a.json" in str(info.value) and "b.json" in str(info.value)
+    with pytest.raises(ValueError, match="seed 0"):
+        aggregate_result_files([path_a, path_a])
 
 
 def test_aggregate_result_files_rejects_empty():

@@ -5,6 +5,8 @@ and once through the scalar reference loops in adafamily.checks, which
 share no code with it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from adafamily.optim import (
     DecayMode,
     NonFiniteGradientError,
     OptimizerConfig,
+    OptimizerState,
     auxiliary_real_count,
     dump_state,
     init_state,
@@ -363,6 +366,20 @@ def test_load_state_rejects_garbage():
         load_state(b"\x00" * 7)
     with pytest.raises(ValueError):
         load_state(dump_state(init_state(_af(0.5), 3)) + b"\x01")
+    # well-formed bytes whose values no step could produce
+    good = OptimizerState(m=np.zeros(2), v=np.array([1.0, 0.0]), t=3, c=1.5)
+    load_state(dump_state(good))
+    for bad, pattern in [
+        (dict(t=-3), "t=-3"),
+        (dict(c=7.0), "c=7.0"),
+        (dict(c=0.5), "c=0.5"),
+        (dict(c=float("nan")), "c=nan"),
+        (dict(v=np.array([-1.0, 0.0])), "negative"),
+        (dict(v=np.array([1.0, np.nan])), "non-finite"),
+        (dict(m=np.array([np.inf, 0.0])), "non-finite"),
+    ]:
+        with pytest.raises(ValueError, match=pattern):
+            load_state(dump_state(dataclasses.replace(good, **bad)))
 
 
 # -------------------------------------------------------------------------

@@ -72,7 +72,6 @@ def write_smoke_results() -> list[Path]:
     smoke.mkdir(parents=True, exist_ok=True)
     for stale in smoke.glob("*.json"):
         stale.unlink()
-    setup = build_problem(SMOKE_PROBLEM)
     paths = []
     for optimizer in default_lineup():
         config = RunConfig(
