@@ -26,8 +26,10 @@ from .harness import (
     aggregate_result_files,
     problem_names,
     run_config,
+    run_configs,
     save_results,
     sweep_mu_configs,
+    write_text_atomic,
 )
 from .tables import FORMATS, emit_table
 
@@ -70,7 +72,7 @@ def load_run_config_file(path: str | Path) -> RunConfig:
 
 def save_run_config_file(path: str | Path, config: RunConfig) -> None:
     payload = {"version": CONFIG_VERSION, "run": config.to_dict()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -106,14 +108,13 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for config in configs:
-        results = run_config(config)
+    for config, results in zip(configs, run_configs(configs)):
         path = out_dir / _results_filename(config)
         save_results(path, config, results)
         paths.append(path)
     table = emit_table(aggregate_result_files(paths), args.format)
     table_path = out_dir / f"sweep_{args.problem}.{args.format}"
-    table_path.write_text(table)
+    write_text_atomic(table_path, table)
     print(table, end="")
     print(f"\nwrote {len(paths)} results files and {table_path}", file=sys.stderr)
     return 0

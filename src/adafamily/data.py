@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,25 +23,31 @@ from . import rng
 
 @dataclass(frozen=True)
 class Batch:
-    """A mini-batch: features (n, p) float64, labels (n,) int64."""
+    """A mini-batch: features (n, p) float64, labels (n,) int64.
+
+    A stack of R batches of equal size, one per run, has features
+    (R, n, p) and labels (R, n).
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
+        if self.features.ndim not in (2, 3):
+            raise ValueError(
+                f"features must be 2-D, or 3-D for a stack, got shape {self.features.shape}"
+            )
+        if self.labels.shape != self.features.shape[:-1]:
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
-                f"{self.features.shape[0]} feature rows"
+                f"features shape {self.features.shape}"
             )
-        if self.features.shape[0] < 1:
+        if self.n < 1:
             raise ValueError("a batch needs at least one example")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -243,25 +249,39 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     return _subset(~test_mask, "train"), _subset(test_mask, "test")
 
 
-def batches(dataset: Dataset, plan: BatchPlan, epoch_index: int) -> Iterator[Batch]:
+def batches(
+    dataset: Dataset, plan: BatchPlan | Sequence[BatchPlan], epoch_index: int
+) -> Iterator[Batch]:
     """Mini-batches for one epoch; order fixed by (shuffle_seed, epoch_index).
 
     Every example appears exactly once; a final short batch is kept unless
-    the plan says drop_last.
+    the plan says drop_last.  Given a sequence of R plans that share
+    batch_size and drop_last, yields stacks of R batches whose row r is
+    the batch plan r gives on its own; each distinct shuffle seed's
+    permutation is drawn once, and each stack is one gather.
     """
+    plans = [plan] if isinstance(plan, BatchPlan) else list(plan)
     if epoch_index < 0:
         raise ValueError(f"epoch_index must be >= 0, got {epoch_index}")
     if dataset.n < 1:
         raise ValueError("cannot batch an empty dataset")
-    if plan.batch_size > dataset.n:
-        raise ValueError(
-            f"batch_size {plan.batch_size} exceeds dataset size {dataset.n}"
-        )
-    perm = rng.permutation(rng.derive_key(plan.shuffle_seed, epoch_index), dataset.n)
-    for start in range(0, dataset.n, plan.batch_size):
-        sel = perm[start : start + plan.batch_size]
-        if sel.size < plan.batch_size and plan.drop_last:
+    if not plans:
+        raise ValueError("need at least one batch plan")
+    size, drop_last = plans[0].batch_size, plans[0].drop_last
+    if any((p.batch_size, p.drop_last) != (size, drop_last) for p in plans):
+        raise ValueError("stacked batch plans must share batch_size and drop_last")
+    if size > dataset.n:
+        raise ValueError(f"batch_size {size} exceeds dataset size {dataset.n}")
+    perms: dict[int, np.ndarray] = {}
+    for p in plans:
+        if p.shuffle_seed not in perms:
+            key = rng.derive_key(p.shuffle_seed, epoch_index)
+            perms[p.shuffle_seed] = rng.permutation(key, dataset.n)
+    order = np.stack([perms[p.shuffle_seed] for p in plans])
+    if isinstance(plan, BatchPlan):
+        order = order[0]
+    for start in range(0, dataset.n, size):
+        sel = order[..., start : start + size]
+        if sel.shape[-1] < size and drop_last:
             return
-        yield Batch(
-            features=dataset.features[sel].copy(), labels=dataset.labels[sel].copy()
-        )
+        yield Batch(features=dataset.features[sel], labels=dataset.labels[sel])

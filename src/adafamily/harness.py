@@ -21,6 +21,7 @@ import enum
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,6 +37,7 @@ from .optim import (
     DecayMode,
     NonFiniteGradientError,
     OptimizerConfig,
+    OptimizerState,
     init_state,
     step,
 )
@@ -175,6 +177,9 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seed {repeated[0]} repeats in seeds {list(self.seeds)}")
         milestones = [m for m, _ in self.schedule]
         if any(m2 <= m1 for m1, m2 in zip(milestones, milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing: {milestones}")
@@ -283,11 +288,12 @@ def lr_scale_sequence(
     return out
 
 
-def _evaluate(setup: ProblemSetup, params: np.ndarray, metric: Metric) -> float:
+def _evaluate(setup: ProblemSetup, params: np.ndarray, metric: Metric) -> np.ndarray:
+    """The metric of every row of an (R, dim) parameter stack, in one call."""
     if metric is Metric.TOP1_ERROR:
         data = setup.test if setup.test is not None and setup.test.n else setup.train
         predicted = setup.problem.predict(params, data.features)
-        return 100.0 * float(np.mean(predicted != data.labels))
+        return 100.0 * np.mean(predicted != data.labels, axis=-1)
     if setup.has_data:
         data = setup.test if setup.test is not None and setup.test.n else setup.train
         return setup.problem.loss(
@@ -296,9 +302,7 @@ def _evaluate(setup: ProblemSetup, params: np.ndarray, metric: Metric) -> float:
     return setup.problem.loss(params)
 
 
-def run_single(config: RunConfig, seed: int) -> RunResult:
-    """Train one run; deterministic given (config, seed) except elapsed time."""
-    setup = build_problem(config.problem)
+def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
     if config.metric is Metric.TOP1_ERROR and not setup.has_data:
         raise ValueError(
             f"metric {config.metric.value} needs a dataset problem, "
@@ -311,72 +315,177 @@ def run_single(config: RunConfig, seed: int) -> RunResult:
             f"problem {config.problem} is analytic and takes no batch_plan"
         )
 
-    start = time.perf_counter()
-    problem = setup.problem
-    params = problem.init_params(seed)
-    state = init_state(config.optimizer, problem.dim)
 
+# runs share a stack while (runs x problem dim) stays within this many
+# parameters: wide problems run alone and peak memory stays flat
+_STACK_PARAMS = 8192
+
+
+@dataclass
+class _Run:
+    """The training state of one (config, seed) run inside a group."""
+
+    config: RunConfig
+    seed: int
+    state: OptimizerState
+    scales: list[float]
+    plan: BatchPlan | None
+    train_loss: list[float] = field(default_factory=list)
+    eval_metric: list[float] = field(default_factory=list)
+    epoch_losses: list[float] = field(default_factory=list)
+    divergence_epoch: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_epoch is not None
+
+    def result(self, elapsed_seconds: float) -> RunResult:
+        return RunResult(
+            seed=self.seed,
+            train_loss=self.train_loss,
+            eval_metric=self.eval_metric,
+            final_metric=None if self.diverged else self.eval_metric[-1],
+            elapsed_seconds=elapsed_seconds,
+            diverged=self.diverged,
+            divergence_epoch=self.divergence_epoch,
+        )
+
+
+def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
     # the run seed folds into the shuffle stream once, so two seeds of the
     # same config see different batch orders but each is reproducible
     plan = None
-    if setup.has_data:
+    if config.batch_plan is not None:
         plan = dataclasses.replace(
             config.batch_plan,
             shuffle_seed=rng.derive_key(config.batch_plan.shuffle_seed, seed),
         )
+    return _Run(
+        config=config,
+        seed=seed,
+        state=init_state(config.optimizer, dim),
+        scales=lr_scale_sequence(config.schedule, config.epochs),
+        plan=plan,
+    )
 
-    scales = lr_scale_sequence(config.schedule, config.epochs)
-    train_loss: list[float] = []
-    eval_metric: list[float] = []
-    diverged = False
-    divergence_epoch: int | None = None
 
-    for epoch, scale in enumerate(scales):
-        losses: list[float] = []
+def _train_group(
+    setup: ProblemSetup, members: Sequence[tuple[RunConfig, int]]
+) -> list[RunResult]:
+    """Train (config, seed) runs of one problem and metric in lockstep.
+
+    Every step evaluates the whole stack in one `loss_grad` call and then
+    steps each run on its own row; every epoch evaluates the stack in one
+    call.  Rows never mix, so each run's numbers equal a group of one.  A
+    run whose loss or gradient turns non-finite is marked divergent and
+    leaves the stack at the end of that epoch; a run that completes its
+    epochs leaves after its last evaluation.
+    """
+    start = time.perf_counter()
+    problem = setup.problem
+    metric = members[0][0].metric
+    runs = [_start_run(config, seed, problem.dim) for config, seed in members]
+    stack = runs
+    params = np.stack([problem.init_params(seed) for _, seed in members])
+    for epoch in range(max(config.epochs for config, _ in members)):
         epoch_batches = (
-            batches(setup.train, plan, epoch) if setup.has_data else [None]
+            batches(setup.train, [run.plan for run in stack], epoch)
+            if setup.has_data
+            else [None]
         )
         for batch in epoch_batches:
-            loss, grad = problem.loss_grad(params, batch)
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            # step scans the gradient and raises before touching any state
-            try:
-                params = step(state, params, grad, config.optimizer, lr_scale=scale)
-            except NonFiniteGradientError:
-                diverged = True
-                break
-            losses.append(loss)
-        if diverged:
-            divergence_epoch = epoch
+            losses, grads = problem.loss_grad(params, batch)
+            for r, (run, loss) in enumerate(zip(stack, losses.tolist())):
+                if run.diverged:
+                    continue
+                if not math.isfinite(loss):
+                    run.divergence_epoch = epoch
+                    continue
+                # step scans the gradient and raises before touching any state
+                try:
+                    params[r] = step(
+                        run.state, params[r], grads[r], run.config.optimizer,
+                        lr_scale=run.scales[epoch],
+                    )
+                except NonFiniteGradientError:
+                    run.divergence_epoch = epoch
+                    continue
+                run.epoch_losses.append(loss)
+        stack, params = _leave(stack, params, lambda run: not run.diverged)
+        if not stack:
             break
-        train_loss.append(float(np.mean(losses)))
-        eval_metric.append(_evaluate(setup, params, config.metric))
+        for run, value in zip(stack, _evaluate(setup, params, metric).tolist()):
+            run.train_loss.append(float(np.mean(run.epoch_losses)))
+            run.epoch_losses = []
+            run.eval_metric.append(value)
+        stack, params = _leave(
+            stack, params, lambda run: len(run.train_loss) < run.config.epochs
+        )
+        if not stack:
+            break
 
-    log.info(
-        "run %s/%s seed=%d: lr scales %s, %s",
-        config.problem,
-        config.optimizer.label,
-        seed,
-        scales,
-        "diverged at epoch %s" % divergence_epoch if diverged else "ok",
-    )
+    elapsed = (time.perf_counter() - start) / len(runs)
+    for run in runs:
+        log.info(
+            "run %s/%s seed=%d: lr scales %s, %s",
+            run.config.problem,
+            run.config.optimizer.label,
+            run.seed,
+            run.scales,
+            "diverged at epoch %s" % run.divergence_epoch if run.diverged else "ok",
+        )
+    return [run.result(elapsed) for run in runs]
 
-    return RunResult(
-        seed=seed,
-        train_loss=train_loss,
-        eval_metric=eval_metric,
-        final_metric=None if diverged else eval_metric[-1],
-        elapsed_seconds=time.perf_counter() - start,
-        diverged=diverged,
-        divergence_epoch=divergence_epoch,
-    )
+
+def _leave(stack: list[_Run], params: np.ndarray, stays: Callable[[_Run], bool]):
+    """The runs that stay in the stack, with their parameter rows."""
+    keep = [r for r, run in enumerate(stack) if stays(run)]
+    if len(keep) == len(stack):
+        return stack, params
+    return [stack[r] for r in keep], params[keep]
+
+
+def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
+    """Every seed of every config: one result list per config, in seed order.
+
+    Runs that share a problem, metric and batch shape train together in
+    lockstep groups (see `_train_group`), as many per group as fit in
+    `_STACK_PARAMS` parameters.  Each result is deterministic given its
+    (config, seed) except its elapsed time, which is the group's wall
+    time divided by the number of runs in the group.
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, config in enumerate(configs):
+        _check_runnable(config, build_problem(config.problem))
+        plan = config.batch_plan
+        key = (
+            config.problem,
+            config.metric,
+            None if plan is None else (plan.batch_size, plan.drop_last),
+        )
+        groups.setdefault(key, []).extend((i, j) for j in range(len(config.seeds)))
+    results: list[list[RunResult | None]] = [[None] * len(c.seeds) for c in configs]
+    for (problem, _, _), members in groups.items():
+        setup = build_problem(problem)
+        # seed-major order, so a group's runs share few shuffle permutations
+        members.sort(key=lambda ij: configs[ij[0]].seeds[ij[1]])
+        size = max(1, _STACK_PARAMS // setup.problem.dim)
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            group = [(configs[i], configs[i].seeds[j]) for i, j in chunk]
+            for (i, j), result in zip(chunk, _train_group(setup, group)):
+                results[i][j] = result
+    return results
+
+
+def run_single(config: RunConfig, seed: int) -> RunResult:
+    """Train one run; deterministic given (config, seed) except elapsed time."""
+    return run_configs([dataclasses.replace(config, seeds=(seed,))])[0][0]
 
 
 def run_config(config: RunConfig) -> list[RunResult]:
     """All seeds of one config, in seed order."""
-    return [run_single(config, seed) for seed in config.seeds]
+    return run_configs([config])[0]
 
 
 def default_lineup(
@@ -501,17 +610,16 @@ def run_grid(
     """
     if not configs:
         raise ValueError("no configs to run")
+    if seeds is not None:
+        configs = [dataclasses.replace(c, seeds=tuple(seeds)) for c in configs]
     cells: dict[tuple[str, int, str], list[RunResult]] = {}
     raw: dict[tuple[str, str], list[RunResult]] = {}
     problems: list[str] = []
     seen: dict[tuple[str, str], int] = {}
-    for config in configs:
-        if seeds is not None:
-            config = dataclasses.replace(config, seeds=tuple(seeds))
+    for config, results in zip(configs, run_configs(configs)):
         label = config.optimizer.label
         occ = seen.get((label, config.problem), 0)
         seen[(label, config.problem)] = occ + 1
-        results = run_config(config)
         cells[(label, occ, config.problem)] = results
         raw.setdefault((label, config.problem), []).extend(results)
         if config.problem not in problems:
@@ -539,7 +647,23 @@ def save_results(path: str | Path, config: RunConfig, results: Sequence[RunResul
         "config": config.to_dict(),
         "results": [r.to_dict() for r in sorted(results, key=lambda r: r.seed)],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` so that a crash never leaves it truncated.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one `os.replace`; readers see the old file or the
+    new one, never a part.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
@@ -569,17 +693,27 @@ def aggregate_result_files(paths: Sequence[str | Path]) -> list[AggregateResult]
     """Aggregate saved per-config results files into table rows.
 
     Files sharing (label, problem) merge into one cell, so a config run
-    over two seed batches aggregates into a single row.  A seed that
-    appears twice in one cell is rejected, naming both files.
+    over two seed batches aggregates into a single row.  Files of one cell
+    whose configs differ in anything but their seeds are rejected, and so
+    is a seed that appears twice in one cell; the message names both files.
     """
     if not paths:
         raise ValueError("no results files given")
     cells: dict[tuple[str, int, str], list[RunResult]] = {}
     problems: list[str] = []
     origin: dict[tuple[str, str, int], str | Path] = {}
+    first: dict[tuple[str, str], tuple[dict, str | Path]] = {}
     for path in paths:
         config, results = load_results(path)
         label = config.optimizer.label
+        protocol = {k: v for k, v in config.to_dict().items() if k != "seeds"}
+        cell_protocol, cell_path = first.setdefault((label, config.problem), (protocol, path))
+        if protocol != cell_protocol:
+            fields = sorted(k for k in protocol if protocol[k] != cell_protocol[k])
+            raise ValueError(
+                f"{path}: config of {label} on {config.problem} differs from "
+                f"{cell_path} in {', '.join(fields)}"
+            )
         for result in results:
             seed_key = (label, config.problem, result.seed)
             if seed_key in origin:

@@ -6,10 +6,14 @@ hidden-layer tanh MLP (data-driven, softmax cross-entropy).  Every
 analytic gradient is cross-checkable against `finite_diff_grad`, a
 central-difference oracle that only ever calls the loss.
 
-Batch reductions are the mean over the row axis computed by numpy
+Batch reductions are the mean over the batch's rows computed by numpy
 (pairwise summation over a fixed row order), so evaluations are
 deterministic for a given batch and stable under row permutation to
 roughly 1e-15 per element.
+
+Every evaluation also takes a stack of R parameter vectors, one per run,
+and computes each row independently: row r of a stacked call equals the
+single-run call byte for byte (see `Problem` and docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
 seed-deterministic through :mod:`adafamily.rng`.
@@ -27,25 +31,43 @@ from .data import Batch
 
 
 class Problem:
-    """Base interface: a differentiable objective over a flat parameter vector."""
+    """Base interface: a differentiable objective over a flat parameter vector.
+
+    Evaluations take either one parameter vector of shape (dim,) or a stack
+    of R independent rows of shape (R, dim).  A stack gives (R,) losses and
+    an (R, dim) gradient whose row r equals, byte for byte, the 1-D call on
+    row r (with row r of the batch when the batch is stacked too).  This
+    default loops over the rows with `row_loss_grad`; the data problems
+    override `loss_grad` with one stacked evaluation.
+    """
 
     kind: str = "abstract"
     dim: int = 0
     requires_batch: bool = False
 
-    def loss(self, params: np.ndarray, batch: Batch | None = None) -> float:
+    def loss(self, params: np.ndarray, batch: Batch | None = None):
         return self.loss_grad(params, batch)[0]
 
-    def loss_grad(
-        self, params: np.ndarray, batch: Batch | None = None
+    def loss_grad(self, params: np.ndarray, batch: Batch | None = None):
+        self._check_eval(params, batch)
+        if params.ndim == 1:
+            return self.row_loss_grad(params, batch)
+        pairs = [
+            self.row_loss_grad(row, _batch_row(batch, r)) for r, row in enumerate(params)
+        ]
+        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
+
+    def row_loss_grad(
+        self, params: np.ndarray, batch: Batch | None
     ) -> tuple[float, np.ndarray]:
+        """Loss and gradient of one (dim,) row; called after `_check_eval`."""
         raise NotImplementedError
 
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
 
     def _check_eval(self, params: np.ndarray, batch: Batch | None) -> None:
-        if params.shape != (self.dim,):
+        if params.ndim not in (1, 2) or params.shape[-1] != self.dim:
             raise ValueError(
                 f"{self.kind} expects {self.dim} parameters, got shape {params.shape}"
             )
@@ -53,6 +75,18 @@ class Problem:
             raise ValueError(f"{self.kind} needs a batch")
         if not self.requires_batch and batch is not None:
             raise ValueError(f"{self.kind} is analytic, a batch makes no sense here")
+        if batch is not None and batch.features.ndim == 3:
+            if params.ndim != 2 or batch.features.shape[0] != params.shape[0]:
+                raise ValueError(
+                    f"a stack of {batch.features.shape[0]} batches needs as many "
+                    f"parameter rows, got shape {params.shape}"
+                )
+
+
+def _batch_row(batch: Batch | None, r: int) -> Batch | None:
+    if batch is None or batch.features.ndim == 2:
+        return batch
+    return Batch(features=batch.features[r], labels=batch.labels[r])
 
 
 class Quadratic(Problem):
@@ -86,8 +120,7 @@ class Quadratic(Problem):
         """f at the minimizer: -0.5 b'A^{-1}b."""
         return -0.5 * float(self.rhs @ self._optimum)
 
-    def loss_grad(self, params, batch=None):
-        self._check_eval(params, batch)
+    def row_loss_grad(self, params, batch):
         a_theta = self.matrix @ params
         loss = 0.5 * float(params @ a_theta) - float(self.rhs @ params)
         return loss, a_theta - self.rhs
@@ -104,8 +137,7 @@ class Rosenbrock2D(Problem):
     dim = 2
     START = (-1.2, 1.0)
 
-    def loss_grad(self, params, batch=None):
-        self._check_eval(params, batch)
+    def row_loss_grad(self, params, batch):
         x, y = float(params[0]), float(params[1])
         inner = y - x * x
         loss = (1.0 - x) ** 2 + 100.0 * inner**2
@@ -120,26 +152,46 @@ class Rosenbrock2D(Problem):
 
 def _softmax_ce(
     logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and d(loss)/d(logits), max-subtraction stabilized."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(np.mean(-np.log(np.maximum(picked, 1e-300))))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mean cross-entropy and d(loss)/d(logits), max-subtraction stabilized.
+
+    ``logits`` is (R, B, K); ``labels`` is (B,) or (R, B).  The per-sample
+    reductions run over the class axis, the last and contiguous one.
+    """
+    # in-place steps round exactly as the out-of-place expressions would
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    r, n = logits.shape[0], logits.shape[1]
+    at_label = (np.arange(r)[:, None], np.arange(n), labels)
+    losses = np.mean(-np.log(np.maximum(probs[at_label], 1e-300)), axis=-1)
+    probs[at_label] -= 1.0
+    probs /= n
+    return losses, probs
 
 
 def _check_batch_against(num_features: int, num_classes: int, batch: Batch) -> None:
-    if batch.features.shape[1] != num_features:
+    if batch.features.shape[-1] != num_features:
         raise ValueError(
-            f"batch has {batch.features.shape[1]} features, problem expects {num_features}"
+            f"batch has {batch.features.shape[-1]} features, problem expects {num_features}"
         )
     if batch.labels.min() < 0 or batch.labels.max() >= num_classes:
         raise ValueError(f"batch labels must lie in [0, {num_classes})")
+
+
+def _stacked(params: np.ndarray) -> np.ndarray:
+    return params.reshape(-1, params.shape[-1])
+
+
+def _transposed(matrices: np.ndarray) -> np.ndarray:
+    return matrices.transpose(0, 2, 1)
+
+
+def _unstacked(params: np.ndarray, losses: np.ndarray, grad: np.ndarray):
+    # a 1-D call is the one-row stack, returned without its stack axis
+    if params.ndim == 1:
+        return float(losses[0]), grad[0]
+    return losses, grad
 
 
 class LogisticRegression(Problem):
@@ -160,22 +212,27 @@ class LogisticRegression(Problem):
         self.dim = num_classes * num_features + num_classes
 
     def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (..., dim) -> W (..., k, p) and b (..., k), views into params
         k, p = self.num_classes, self.num_features
-        return params[: k * p].reshape(k, p), params[k * p :]
+        lead = params.shape[:-1]
+        return params[..., : k * p].reshape(lead + (k, p)), params[..., k * p :]
+
+    def _logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+        w, b = self._unpack(_stacked(params))
+        return features @ _transposed(w) + b[:, None, :]
 
     def loss_grad(self, params, batch=None):
         self._check_eval(params, batch)
         _check_batch_against(self.num_features, self.num_classes, batch)
-        w, b = self._unpack(params)
-        logits = batch.features @ w.T + b
-        loss, dlogits = _softmax_ce(logits, batch.labels)
-        grad_w = dlogits.T @ batch.features
-        grad_b = dlogits.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
+        losses, dlogits = _softmax_ce(self._logits(params, batch.features), batch.labels)
+        grad_w = _transposed(dlogits) @ batch.features
+        grad_b = dlogits.sum(axis=1)
+        grad = np.concatenate([grad_w.reshape(len(losses), -1), grad_b], axis=1)
+        return _unstacked(params, losses, grad)
 
     def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w, b = self._unpack(params)
-        return np.argmax(features @ w.T + b, axis=1)
+        labels = np.argmax(self._logits(params, features), axis=-1)
+        return labels[0] if params.ndim == 1 else labels
 
     def init_params(self, seed: int) -> np.ndarray:
         # uniform(-s, s) with s = 1/sqrt(fan_in) for weights and biases
@@ -219,36 +276,54 @@ class MLP1(Problem):
         self.dim = sum(self._sizes)
 
     def _unpack(self, params: np.ndarray):
+        # (..., dim) -> W1 (..., h, p), b1 (..., h), W2 (..., k, h), b2 (..., k),
+        # views into params
         h, p, k = self.hidden, self.num_features, self.num_classes
         s1, s2, s3, _ = self._sizes
         o = np.cumsum((0, s1, s2, s3))
-        w1 = params[o[0] : o[1]].reshape(h, p)
-        b1 = params[o[1] : o[2]]
-        w2 = params[o[2] : o[3]].reshape(k, h)
-        b2 = params[o[3] :]
+        lead = params.shape[:-1]
+        w1 = params[..., o[0] : o[1]].reshape(lead + (h, p))
+        b1 = params[..., o[1] : o[2]]
+        w2 = params[..., o[2] : o[3]].reshape(lead + (k, h))
+        b2 = params[..., o[3] :]
         return w1, b1, w2, b2
+
+    @staticmethod
+    def _hidden(w1: np.ndarray, b1: np.ndarray, features: np.ndarray) -> np.ndarray:
+        # tanh(features @ W1' + b1) per row, (R, n, h), in one buffer
+        a1 = features @ _transposed(w1)
+        a1 += b1[:, None, :]
+        return np.tanh(a1, out=a1)
 
     def loss_grad(self, params, batch=None):
         self._check_eval(params, batch)
         _check_batch_against(self.num_features, self.num_classes, batch)
-        w1, b1, w2, b2 = self._unpack(params)
-        z1 = batch.features @ w1.T + b1
-        a1 = np.tanh(z1)
-        logits = a1 @ w2.T + b2
-        loss, dlogits = _softmax_ce(logits, batch.labels)
-        grad_w2 = dlogits.T @ a1
-        grad_b2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2
-        dz1 = da1 * (1.0 - a1 * a1)
-        grad_w1 = dz1.T @ batch.features
-        grad_b1 = dz1.sum(axis=0)
-        return loss, np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
+        w1, b1, w2, b2 = self._unpack(_stacked(params))
+        a1 = self._hidden(w1, b1, batch.features)
+        logits = a1 @ _transposed(w2)
+        logits += b2[:, None, :]
+        losses, dlogits = _softmax_ce(logits, batch.labels)
+        grad_w2 = _transposed(dlogits) @ a1
+        grad_b2 = dlogits.sum(axis=1)
+        # dz1 = da1 * (1 - a1 * a1), computed in place over da1 and a1
+        dz1 = dlogits @ w2
+        np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
+        dz1 *= a1
+        grad_w1 = _transposed(dz1) @ batch.features
+        grad_b1 = dz1.sum(axis=1)
+        r = len(losses)
+        grad = np.concatenate(
+            [grad_w1.reshape(r, -1), grad_b1, grad_w2.reshape(r, -1), grad_b2], axis=1
         )
+        return _unstacked(params, losses, grad)
 
     def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(params)
-        return np.argmax(np.tanh(features @ w1.T + b1) @ w2.T + b2, axis=1)
+        w1, b1, w2, b2 = self._unpack(_stacked(params))
+        logits = self._hidden(w1, b1, features) @ _transposed(w2)
+        logits += b2[:, None, :]
+        labels = np.argmax(logits, axis=-1)
+        return labels[0] if params.ndim == 1 else labels
 
     def init_params(self, seed: int) -> np.ndarray:
         # uniform(-s, s) per layer with s = 1/sqrt(fan_in of that layer)

@@ -345,3 +345,39 @@ def test_batches_validation():
         list(batches(ds, BatchPlan(batch_size=5, shuffle_seed=0), 0))
     with pytest.raises(ValueError):
         list(batches(ds, BatchPlan(batch_size=2, shuffle_seed=0), -1))
+
+
+def test_stacked_batches_rows_equal_single_plan_batches(monkeypatch):
+    ds = _tiny_dataset(10)
+    plans = [BatchPlan(batch_size=3, shuffle_seed=s) for s in (5, 9, 5, 11)]
+    drawn = []
+    permutation = rng.permutation
+    monkeypatch.setattr(rng, "permutation", lambda key, n: drawn.append(key) or permutation(key, n))
+    stacked = list(batches(ds, plans, epoch_index=4))
+    # each distinct shuffle seed's permutation is drawn once per epoch
+    assert len(drawn) == 3
+    assert [b.features.shape for b in stacked] == [(4, 3, 1)] * 3 + [(4, 1, 1)]
+    for r, plan in enumerate(plans):
+        alone = list(batches(ds, plan, epoch_index=4))
+        for s, a in zip(stacked, alone, strict=True):
+            assert s.features[r].tobytes() == a.features.tobytes()
+            assert s.labels[r].tobytes() == a.labels.tobytes()
+
+
+def test_stacked_batches_need_one_batch_shape():
+    ds = _tiny_dataset(10)
+    with pytest.raises(ValueError, match="share batch_size"):
+        list(batches(ds, [BatchPlan(3, 0), BatchPlan(4, 0)], 0))
+    with pytest.raises(ValueError, match="share batch_size"):
+        list(batches(ds, [BatchPlan(3, 0), BatchPlan(3, 0, drop_last=True)], 0))
+    with pytest.raises(ValueError, match="at least one"):
+        list(batches(ds, [], 0))
+
+
+def test_batch_accepts_a_stack_of_equal_batches():
+    stack = Batch(features=np.zeros((2, 3, 4)), labels=np.zeros((2, 3), dtype=np.int64))
+    assert stack.n == 3
+    with pytest.raises(ValueError):
+        Batch(features=np.zeros((2, 3, 4)), labels=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        Batch(features=np.zeros((2, 0, 4)), labels=np.zeros((2, 0), dtype=np.int64))

@@ -27,13 +27,14 @@ from adafamily.harness import (
     problem_names,
     register_problem,
     run_config,
+    run_configs,
     run_grid,
     run_single,
     save_results,
     sweep_mu_configs,
 )
 from adafamily.optim import Algorithm, DecayMode, OptimizerConfig
-from adafamily.problems import Problem
+from adafamily.problems import MLP1, Problem
 
 
 def _quad_config(**overrides):
@@ -119,6 +120,13 @@ def test_run_config_rejects_milestone_at_or_past_epochs():
 def test_run_config_rejects_nonpositive_factor():
     with pytest.raises(ValueError):
         _quad_config(epochs=10, schedule=((5, 0.0),))
+
+
+def test_run_config_rejects_repeated_seed():
+    with pytest.raises(ValueError, match="seed 0 repeats"):
+        _quad_config(seeds=(0, 1, 0))
+    with pytest.raises(ValueError, match="seed 2 repeats"):
+        run_grid([_quad_config()], seeds=(2, 2))
 
 
 def test_run_config_rejects_bad_epochs_and_seeds():
@@ -278,8 +286,7 @@ class _CliffProblem(Problem):
     def init_params(self, seed):
         return np.zeros(1)
 
-    def loss_grad(self, params, batch=None):
-        self._check_eval(params, batch)
+    def row_loss_grad(self, params, batch):
         if params[0] > self.cliff:
             loss = -float(params[0]) if self.finite_loss else float("nan")
             return loss, np.array([float("nan")])
@@ -556,6 +563,27 @@ def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
         aggregate_result_files([path_a, path_a])
 
 
+def test_aggregate_result_files_rejects_configs_differing_beyond_seeds(tmp_path):
+    short = _quad_config(epochs=2, seeds=(0,))
+    long = _quad_config(epochs=50, seeds=(1,))
+    path_a, path_b = tmp_path / "short.json", tmp_path / "long.json"
+    save_results(path_a, short, run_config(short))
+    save_results(path_b, long, run_config(long))
+    with pytest.raises(ValueError, match="Adam on quadratic differs") as info:
+        aggregate_result_files([path_a, path_b])
+    assert "short.json" in str(info.value) and "long.json" in str(info.value)
+    assert "in epochs" in str(info.value)
+
+
+def test_save_results_leaves_no_temporary_file(tmp_path):
+    config = _quad_config(epochs=2)
+    path = tmp_path / "r.json"
+    path.write_text("old")
+    save_results(path, config, run_config(config))
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert load_results(path)[0] == config
+
+
 def test_aggregate_result_files_rejects_empty():
     with pytest.raises(ValueError):
         aggregate_result_files([])
@@ -579,3 +607,138 @@ def test_aggregate_result_is_plain_data():
     agg.means["p"] = 1.0
     replaced = dataclasses.replace(agg)
     assert replaced.label == "Adam"
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups: stacked runs give the numbers each run gives alone
+
+
+class _CliffMLP(MLP1):
+    """MLP1 whose stacked rows turn non-finite once a parameter passes ``cliff``.
+
+    Past the cliff the gradient is NaN, and so is the loss unless
+    ``finite_loss`` is set.  Records the 0-based index of the first call
+    with such a row.
+    """
+
+    def __init__(self, cliff, finite_loss):
+        super().__init__(8, 3, hidden=4)
+        self.cliff = cliff
+        self.finite_loss = finite_loss
+        self.calls = 0
+        self.first_cliff_call = None
+
+    def loss_grad(self, params, batch=None):
+        losses, grads = super().loss_grad(params, batch)
+        past = np.abs(params).max(axis=1) > self.cliff
+        if past.any() and self.first_cliff_call is None:
+            self.first_cliff_call = self.calls
+        self.calls += 1
+        grads[past] = np.nan
+        if not self.finite_loss:
+            losses[past] = np.nan
+        return losses, grads
+
+
+def _payload(result):
+    d = result.to_dict()
+    del d["elapsed_seconds"]
+    return json.dumps(d, sort_keys=True)
+
+
+def _blobs_cliff(name, finite_loss):
+    base = build_problem("blobs-mlp1")
+    register_problem(
+        name,
+        lambda: ProblemSetup(
+            problem=_CliffMLP(cliff=1.5, finite_loss=finite_loss),
+            train=base.train,
+            test=base.test,
+        ),
+    )
+
+
+def test_run_grid_payloads_equal_run_single_for_every_problem_kind():
+    names = ("cliff-nan-loss", "cliff-nan-grad")
+    _blobs_cliff(names[0], finite_loss=False)
+    _blobs_cliff(names[1], finite_loss=True)
+    try:
+        plan = BatchPlan(batch_size=32, shuffle_seed=99)
+        fast = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=0.05)
+        belief = OptimizerConfig(algorithm=Algorithm.ADABELIEF)
+        family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.25)
+        configs = [
+            _quad_config(epochs=3, seeds=(1, 0)),
+            _quad_config(epochs=2, optimizer=family, schedule=((1, 0.5),)),
+            _quad_config(problem="rosenbrock", epochs=4, optimizer=belief, seeds=(0, 3)),
+            _blobs_config(epochs=2, seeds=(0, 1, 2)),
+            _blobs_config(epochs=3, optimizer=family, seeds=(2, 0), schedule=((1, 0.5),)),
+            _blobs_config(problem="blobs-mlp1", epochs=2, seeds=(0, 1)),
+            _blobs_config(problem="blobs-mlp1", epochs=2, metric=Metric.FINAL_LOSS),
+            _blobs_config(problem="blobs-mlp1", epochs=2, batch_plan=plan, seeds=(4,)),
+        ]
+        for name in names:
+            # the fast row crosses the cliff mid-epoch, its neighbours never do
+            configs += [
+                _blobs_config(problem=name, epochs=3, seeds=(0, 1)),
+                _blobs_config(problem=name, epochs=3, optimizer=fast, seeds=(0, 1)),
+                _blobs_config(problem=name, epochs=3, optimizer=family, seeds=(1,)),
+            ]
+        _, raw = run_grid(configs)
+        stacked = {key: [_payload(r) for r in results] for key, results in raw.items()}
+        alone = {}
+        for config in configs:
+            for seed in config.seeds:
+                alone.setdefault((config.optimizer.label, config.problem), []).append(
+                    _payload(run_single(config, seed))
+                )
+        assert stacked == alone
+        for name in names:
+            fast_runs = raw[("Adam", name)][2:]
+            assert all(r.diverged and r.divergence_epoch == 1 for r in fast_runs)
+            assert all(len(r.train_loss) == 1 for r in fast_runs)
+            assert not any(r.diverged for r in raw[("AdaFamily(0.25)", name)])
+            problem = build_problem(name).problem
+            # 15 steps per epoch: the first bad call is inside epoch 1, not at its start
+            assert 15 < problem.first_cliff_call < 30
+    finally:
+        for name in names:
+            del _PROBLEM_BUILDERS[name]
+        build_problem.cache_clear()
+
+
+class _CountingMLP(MLP1):
+    def __init__(self, hidden):
+        super().__init__(8, 3, hidden=hidden)
+        self.heights = []
+
+    def loss_grad(self, params, batch=None):
+        self.heights.append(len(params))
+        return super().loss_grad(params, batch)
+
+
+def _counting(name, hidden):
+    base = build_problem("blobs-mlp1")
+    register_problem(
+        name,
+        lambda: ProblemSetup(problem=_CountingMLP(hidden), train=base.train, test=base.test),
+    )
+    return build_problem(name).problem
+
+
+def test_runs_of_a_problem_share_one_loss_grad_call_per_step():
+    narrow = _counting("count-narrow", hidden=16)  # dim 195: 42 runs per stack
+    wide = _counting("count-wide", hidden=600)  # dim 7,203: one run per stack
+    try:
+        lineup = sweep_mu_configs(MU_GRID, "count-narrow", seeds=range(5), epochs=2)
+        results = run_configs(lineup)
+        # 45 runs: a stack of 42 then one of 3, 15 steps per epoch each
+        assert narrow.heights == [42] * 30 + [3] * 30
+        elapsed = [r.elapsed_seconds for rs in results for r in rs]
+        assert len(set(elapsed)) == 2
+        run_configs(sweep_mu_configs((0.5,), "count-wide", seeds=range(2), epochs=1))
+        assert wide.heights == [1] * 5 * 2 * 15
+    finally:
+        for name in ("count-narrow", "count-wide"):
+            del _PROBLEM_BUILDERS[name]
+        build_problem.cache_clear()

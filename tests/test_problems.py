@@ -307,3 +307,75 @@ def test_relative_error_definition():
     assert relative_error(np.array([3.0]), np.array([1.0])) == pytest.approx(2.0 / 3.0)
     # floor kicks in for small values: |1e-9 - 0| / 1.0
     assert relative_error(np.array([1e-9]), np.array([0.0])) == pytest.approx(1e-9)
+
+
+# -------------------------------------------------------------------------
+# stacked evaluation: row r of a stack equals the single-run call, bitwise
+# -------------------------------------------------------------------------
+
+
+def _stack_cases():
+    # shapes cover one-wide layers, two classes, batches below, at and above
+    # the 8-wide unrolled summation block, and a short final batch of one
+    for i, (p, k, h, n, r) in enumerate(
+        [(8, 3, 16, 32, 9), (5, 2, 1, 1, 3), (3, 4, 7, 9, 1), (8, 3, 64, 33, 5), (2, 2, 3, 120, 4)]
+    ):
+        for problem in (LogisticRegression(p, k), MLP1(p, k, hidden=h)):
+            key = rng.derive_key(900 + i, problem.dim)
+            params = 3.0 * rng.normals(rng.derive_key(key, 0), r * problem.dim)
+            feats = rng.normals(rng.derive_key(key, 1), r * n * p).reshape(r, n, p)
+            labels = rng.random_u64(rng.derive_key(key, 2), r * n) % np.uint64(k)
+            yield problem, params.reshape(r, problem.dim), feats, labels.astype(np.int64).reshape(r, n)
+
+
+def test_stacked_loss_grad_rows_equal_single_calls():
+    for problem, params, feats, labels in _stack_cases():
+        losses, grads = problem.loss_grad(params, Batch(feats, labels))
+        assert losses.shape == (len(params),) and grads.shape == params.shape
+        for r, row in enumerate(params):
+            loss, grad = problem.loss_grad(row, Batch(feats[r], labels[r]))
+            assert isinstance(loss, float)
+            assert np.float64(loss).tobytes() == losses[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
+
+
+def test_stacked_params_over_one_shared_batch_equal_single_calls():
+    for problem, params, feats, labels in _stack_cases():
+        shared = Batch(feats[0], labels[0])
+        losses, grads = problem.loss_grad(params, shared)
+        for r, row in enumerate(params):
+            loss, grad = problem.loss_grad(row, shared)
+            assert np.float64(loss).tobytes() == losses[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
+
+
+def test_stacked_predict_rows_equal_single_calls():
+    for problem, params, feats, _ in _stack_cases():
+        predicted = problem.predict(params, feats[0])
+        assert predicted.shape == (len(params), feats.shape[1])
+        for r, row in enumerate(params):
+            assert problem.predict(row, feats[0]).tobytes() == predicted[r].tobytes()
+            assert problem.predict(row, feats[r]).tobytes() == problem.predict(
+                params, feats
+            )[r].tobytes()
+
+
+def test_analytic_problems_loop_over_stacked_rows():
+    for problem in (spd_quadratic(11, 5, 30.0), Rosenbrock2D()):
+        params = rng.normals(rng.derive_key(12, problem.dim), 3 * problem.dim)
+        params = params.reshape(3, problem.dim)
+        losses, grads = problem.loss_grad(params)
+        for r, row in enumerate(params):
+            loss, grad = problem.loss_grad(row)
+            assert losses[r] == loss and grad.tobytes() == grads[r].tobytes()
+        assert problem.loss(params).tolist() == losses.tolist()
+
+
+def test_stacked_batch_needs_one_parameter_row_per_batch():
+    problem, params, feats, labels = next(_stack_cases())
+    with pytest.raises(ValueError, match="stack of 9 batches"):
+        problem.loss_grad(params[:2], Batch(feats, labels))
+    with pytest.raises(ValueError, match="stack of 9 batches"):
+        problem.loss_grad(params[0], Batch(feats, labels))
+    with pytest.raises(ValueError, match="parameters"):
+        problem.loss_grad(params[:, :-1], Batch(feats, labels))
