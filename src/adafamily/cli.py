@@ -26,7 +26,7 @@ from .harness import (
     aggregate_result_files,
     problem_names,
     run_config,
-    run_configs,
+    run_grid,
     save_results,
     sweep_mu_configs,
     write_text_atomic,
@@ -72,7 +72,8 @@ def load_run_config_file(path: str | Path) -> RunConfig:
 
 def save_run_config_file(path: str | Path, config: RunConfig) -> None:
     payload = {"version": CONFIG_VERSION, "run": config.to_dict()}
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    write_text_atomic(path, text + "\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -107,16 +108,16 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
     )
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for config, results in zip(configs, run_configs(configs)):
+    aggregates, cells = run_grid(configs)
+    for config in configs:
+        # each config of the sweep is a cell of its own
         path = out_dir / _results_filename(config)
-        save_results(path, config, results)
-        paths.append(path)
-    table = emit_table(aggregate_result_files(paths), args.format)
+        save_results(path, config, cells[config.optimizer.label, config.problem])
+    table = emit_table(aggregates, args.format)
     table_path = out_dir / f"sweep_{args.problem}.{args.format}"
     write_text_atomic(table_path, table)
     print(table, end="")
-    print(f"\nwrote {len(paths)} results files and {table_path}", file=sys.stderr)
+    print(f"\nwrote {len(configs)} results files and {table_path}", file=sys.stderr)
     return 0
 
 

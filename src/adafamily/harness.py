@@ -3,10 +3,10 @@
 A run trains one optimizer configuration on one registered problem for a
 fixed number of epochs under a step-decay schedule, evaluating a metric
 each epoch.  Grids aggregate many runs into per-algorithm rows with
-per-problem means and ranks.  Everything is deterministic given the
-config: datasets, parameter inits, and epoch shuffles all derive from
-integer seeds through :mod:`adafamily.rng`, and a run seed only enters
-through `init_params` and the per-run shuffle key.
+per-problem means; :mod:`adafamily.tables` ranks them.  Everything is
+deterministic given the config: datasets, parameter inits, and epoch
+shuffles all derive from integer seeds through :mod:`adafamily.rng`, and
+a run seed only enters through `init_params` and the per-run shuffle key.
 
 Desk-scale defaults mirror a common image-classification protocol shape
 at 1/5 size: 30 epochs, batch 32, learning rate halved after epochs 10
@@ -42,7 +42,6 @@ from .optim import (
     step,
 )
 from .problems import LogisticRegression, MLP1, Problem, Rosenbrock2D, spd_quadratic
-from .tables import ordinal_ranks
 
 log = logging.getLogger(__name__)
 
@@ -265,11 +264,10 @@ class RunResult:
 
 @dataclass
 class AggregateResult:
-    """One table row: an algorithm's mean metric and rank per problem."""
+    """One table row: an algorithm's mean metric per problem."""
 
     label: str
     means: dict[str, float | None] = field(default_factory=dict)
-    ranks: dict[str, int] = field(default_factory=dict)
     divergent: dict[str, int] = field(default_factory=dict)
     seeds_per_problem: dict[str, int] = field(default_factory=dict)
 
@@ -378,8 +376,9 @@ def _train_group(
     steps each run on its own row; every epoch evaluates the stack in one
     call.  Rows never mix, so each run's numbers equal a group of one.  A
     run whose loss or gradient turns non-finite is marked divergent and
-    leaves the stack at the end of that epoch; a run that completes its
-    epochs leaves after its last evaluation.
+    leaves the stack at the end of that epoch, and so does a run whose
+    evaluation or mean training loss for the epoch is non-finite; a run
+    that completes its epochs leaves after its last evaluation.
     """
     start = time.perf_counter()
     problem = setup.problem
@@ -415,11 +414,15 @@ def _train_group(
         if not stack:
             break
         for run, value in zip(stack, _evaluate(setup, params, metric).tolist()):
-            run.train_loss.append(float(np.mean(run.epoch_losses)))
+            train_loss = float(np.mean(run.epoch_losses))
+            if not (math.isfinite(value) and math.isfinite(train_loss)):
+                run.divergence_epoch = epoch
+                continue
+            run.train_loss.append(train_loss)
             run.epoch_losses = []
             run.eval_metric.append(value)
         stack, params = _leave(
-            stack, params, lambda run: len(run.train_loss) < run.config.epochs
+            stack, params, lambda r: not r.diverged and len(r.train_loss) < r.config.epochs
         )
         if not stack:
             break
@@ -570,32 +573,53 @@ def canonical_row_key(label: str) -> tuple:
     return (2, 0, 0.0, label)
 
 
-def _aggregate_cells(
-    cells: dict[tuple[str, int, str], list[RunResult]], problems: Sequence[str]
-) -> list[AggregateResult]:
-    """Fold per-cell run lists into canonical, ranked table rows.
+def _check_cells(configs: Sequence[RunConfig], sources: Sequence[str]) -> None:
+    """The cell rule: configs of one (label, problem) cell may differ only
+    in `seeds`, and no seed repeats within a cell.
 
-    Cell keys are (label, occurrence, problem); occurrence separates rows
-    when the same algorithm appears twice in a grid, so duplicates show
-    up as adjacent identical rows rather than being merged.
+    A violation raises ValueError naming both configs by their ``sources``.
     """
-    rows = sorted(
-        {(label, occ) for label, occ, _ in cells},
-        key=lambda pair: (canonical_row_key(pair[0]), pair[1]),
-    )
-    aggregates = [AggregateResult(label=label) for label, _ in rows]
-    by_row = dict(zip(rows, aggregates))
-    for (label, occ, problem), results in cells.items():
-        agg = by_row[(label, occ)]
-        good = [r.final_metric for r in results if not r.diverged]
+    first: dict[tuple[str, str], tuple[dict, str]] = {}
+    origin: dict[tuple[str, str, int], str] = {}
+    for config, source in zip(configs, sources):
+        label, problem = config.optimizer.label, config.problem
+        protocol = {k: v for k, v in config.to_dict().items() if k != "seeds"}
+        cell_protocol, cell_source = first.setdefault((label, problem), (protocol, source))
+        if protocol != cell_protocol:
+            fields = sorted(k for k in protocol if protocol[k] != cell_protocol[k])
+            raise ValueError(
+                f"{source}: config of {label} on {problem} differs from "
+                f"{cell_source} in {', '.join(fields)}"
+            )
+        for seed in config.seeds:
+            if (label, problem, seed) in origin:
+                raise ValueError(
+                    f"{source}: seed {seed} of {label} on {problem} "
+                    f"repeats one from {origin[label, problem, seed]}"
+                )
+            origin[label, problem, seed] = source
+
+
+def _fold(
+    configs: Sequence[RunConfig], results: Sequence[Sequence[RunResult]]
+) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
+    """Table rows in `canonical_row_key` order, and each cell's runs.
+
+    Each (label, problem) cell's runs are sorted by seed before they are
+    averaged, so no mean depends on the order of the configs or files.
+    """
+    cells: dict[tuple[str, str], list[RunResult]] = {}
+    for config, runs in zip(configs, results):
+        cells.setdefault((config.optimizer.label, config.problem), []).extend(runs)
+    rows: dict[str, AggregateResult] = {}
+    for label, problem in sorted(cells, key=lambda c: (canonical_row_key(c[0]), c[1])):
+        runs = cells[label, problem] = sorted(cells[label, problem], key=lambda r: r.seed)
+        good = [r.final_metric for r in runs if not r.diverged]
+        agg = rows.setdefault(label, AggregateResult(label=label))
         agg.means[problem] = float(np.mean(good)) if good else None
-        agg.divergent[problem] = sum(r.diverged for r in results)
-        agg.seeds_per_problem[problem] = len(results)
-    for problem in problems:
-        column = [by_row[row].means.get(problem) for row in rows]
-        for row, rank in zip(rows, ordinal_ranks(column)):
-            by_row[row].ranks[problem] = rank
-    return aggregates
+        agg.divergent[problem] = sum(r.diverged for r in runs)
+        agg.seeds_per_problem[problem] = len(runs)
+    return list(rows.values()), cells
 
 
 def run_grid(
@@ -603,51 +627,33 @@ def run_grid(
 ) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
     """Run every config and aggregate into canonical table rows.
 
-    Returns (aggregates, raw) where raw maps (label, problem) to the run
-    results behind each cell (duplicate-label runs are concatenated
-    there).  Means cover only non-divergent seeds; the per-cell exclusion
-    count lands in `divergent`.
+    The grid must obey the cell rule of `_check_cells`, checked before
+    anything trains (`run_configs` runs any configs).  Returns (aggregates,
+    raw) where raw maps (label, problem) to the cell's runs in seed order.
+    Means cover only non-divergent seeds; the per-cell exclusion count
+    lands in `divergent`.
     """
     if not configs:
         raise ValueError("no configs to run")
     if seeds is not None:
         configs = [dataclasses.replace(c, seeds=tuple(seeds)) for c in configs]
-    cells: dict[tuple[str, int, str], list[RunResult]] = {}
-    raw: dict[tuple[str, str], list[RunResult]] = {}
-    problems: list[str] = []
-    seen: dict[tuple[str, str], int] = {}
-    for config, results in zip(configs, run_configs(configs)):
-        label = config.optimizer.label
-        occ = seen.get((label, config.problem), 0)
-        seen[(label, config.problem)] = occ + 1
-        cells[(label, occ, config.problem)] = results
-        raw.setdefault((label, config.problem), []).extend(results)
-        if config.problem not in problems:
-            problems.append(config.problem)
-    return _aggregate_cells(cells, problems), raw
-
-
-def aggregates_to_dicts(aggregates: Sequence[AggregateResult]) -> list[dict]:
-    return [
-        {
-            "label": a.label,
-            "means": a.means,
-            "ranks": a.ranks,
-            "divergent": a.divergent,
-            "seeds_per_problem": a.seeds_per_problem,
-        }
-        for a in aggregates
-    ]
+    _check_cells(configs, [f"config {i}" for i in range(len(configs))])
+    return _fold(configs, run_configs(configs))
 
 
 def save_results(path: str | Path, config: RunConfig, results: Sequence[RunResult]) -> None:
-    """Write one config's runs as a versioned, self-describing JSON file."""
+    """Write one config's runs as a versioned, self-describing JSON file.
+
+    The JSON is strict: a non-finite number raises ValueError and nothing
+    is written.
+    """
     payload = {
         "version": RESULTS_VERSION,
         "config": config.to_dict(),
         "results": [r.to_dict() for r in sorted(results, key=lambda r: r.seed)],
     }
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    write_text_atomic(path, text + "\n")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -667,6 +673,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
+    """Read a results file; its runs must be exactly its config's seeds."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"results file not found: {path}")
@@ -684,46 +691,25 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     try:
         config = RunConfig.from_dict(payload["config"])
         results = [RunResult.from_dict(r) for r in payload["results"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
+    seeds = sorted(r.seed for r in results)
+    if seeds != sorted(config.seeds):
+        raise ValueError(
+            f"{path}: result seeds {seeds} are not the config's seeds {list(config.seeds)}"
+        )
     return config, results
 
 
 def aggregate_result_files(paths: Sequence[str | Path]) -> list[AggregateResult]:
     """Aggregate saved per-config results files into table rows.
 
-    Files sharing (label, problem) merge into one cell, so a config run
-    over two seed batches aggregates into a single row.  Files of one cell
-    whose configs differ in anything but their seeds are rejected, and so
-    is a seed that appears twice in one cell; the message names both files.
+    The files obey the cell rule of `run_grid` (see `_check_cells`), so a
+    config run over two seed batches aggregates into a single row; an
+    error names both files.
     """
     if not paths:
         raise ValueError("no results files given")
-    cells: dict[tuple[str, int, str], list[RunResult]] = {}
-    problems: list[str] = []
-    origin: dict[tuple[str, str, int], str | Path] = {}
-    first: dict[tuple[str, str], tuple[dict, str | Path]] = {}
-    for path in paths:
-        config, results = load_results(path)
-        label = config.optimizer.label
-        protocol = {k: v for k, v in config.to_dict().items() if k != "seeds"}
-        cell_protocol, cell_path = first.setdefault((label, config.problem), (protocol, path))
-        if protocol != cell_protocol:
-            fields = sorted(k for k in protocol if protocol[k] != cell_protocol[k])
-            raise ValueError(
-                f"{path}: config of {label} on {config.problem} differs from "
-                f"{cell_path} in {', '.join(fields)}"
-            )
-        for result in results:
-            seed_key = (label, config.problem, result.seed)
-            if seed_key in origin:
-                raise ValueError(
-                    f"{path}: seed {result.seed} of {label} on {config.problem} "
-                    f"repeats one from {origin[seed_key]}"
-                )
-            origin[seed_key] = path
-        key = (label, 0, config.problem)
-        cells.setdefault(key, []).extend(results)
-        if config.problem not in problems:
-            problems.append(config.problem)
-    return _aggregate_cells(cells, problems)
+    configs, results = zip(*(load_results(path) for path in paths))
+    _check_cells(configs, [str(path) for path in paths])
+    return _fold(configs, results)[0]

@@ -37,6 +37,7 @@ independent.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,16 +96,16 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {b}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.weight_decay > 0.0 and self.decay_mode is DecayMode.NONE:
             raise ValueError(
                 "weight_decay > 0 needs an explicit decay_mode (coupled or decoupled)"

@@ -140,7 +140,11 @@ class Rosenbrock2D(Problem):
     def row_loss_grad(self, params, batch):
         x, y = float(params[0]), float(params[1])
         inner = y - x * x
-        loss = (1.0 - x) ** 2 + 100.0 * inner**2
+        try:
+            loss = (1.0 - x) ** 2 + 100.0 * inner**2
+        except OverflowError:
+            # float ** raises where x * x overflows to inf; the run diverges
+            loss = math.inf
         gx = -2.0 * (1.0 - x) - 400.0 * x * inner
         gy = 200.0 * inner
         return loss, np.array([gx, gy])

@@ -1,11 +1,12 @@
 """Result-table emission: Markdown and CSV with best/second-best marking.
 
-The emitter consumes aggregate rows (anything with `label`, `means`, and
-optionally `divergent` / `seeds_per_problem` attributes) and prints one
-row per algorithm, one column per problem, means at 2 decimals.  Marking
-is computed from the full-precision means, not the printed values: the
-column minimum is best (bold in Markdown), the runner-up second best
-(italic).  CSV carries the same information as explicit rank columns.
+The emitter consumes `adafamily.harness.AggregateResult` rows (`label`,
+`means`, `divergent`, `seeds_per_problem`) and prints one row per
+algorithm, one column per problem, means at 2 decimals.  Ranks are
+computed here and only here, from the full-precision means, not the
+printed values: the column minimum is best (bold in Markdown), the
+runner-up second best (italic).  CSV carries the same information as
+explicit rank columns.
 Cells whose runs partly diverged get a dagger and a footnote; cells with
 no surviving runs print as n/a.
 """
@@ -59,10 +60,9 @@ def _divergence_notes(aggregates, problems) -> list[tuple[str, str, int, int]]:
     notes = []
     for agg in aggregates:
         for problem in problems:
-            count = getattr(agg, "divergent", {}).get(problem, 0)
+            count = agg.divergent.get(problem, 0)
             if count:
-                total = getattr(agg, "seeds_per_problem", {}).get(problem, count)
-                notes.append((agg.label, problem, count, total))
+                notes.append((agg.label, problem, count, agg.seeds_per_problem[problem]))
     return notes
 
 
@@ -100,7 +100,7 @@ def _emit_markdown(aggregates, problems, ranks) -> str:
                     text = f"**{text}**"
                 elif rank == 2:
                     text = f"*{text}*"
-            if getattr(agg, "divergent", {}).get(problem, 0):
+            if agg.divergent.get(problem, 0):
                 text += "†"
             cells.append(text)
         lines.append("| " + " | ".join([agg.label] + cells) + " |")
@@ -131,7 +131,7 @@ def _emit_csv(aggregates, problems, ranks) -> str:
                 [
                     text,
                     str(ranks[problem][row_index]),
-                    str(getattr(agg, "divergent", {}).get(problem, 0)),
+                    str(agg.divergent.get(problem, 0)),
                 ]
             )
         writer.writerow(row)

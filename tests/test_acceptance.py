@@ -34,7 +34,7 @@ from adafamily.harness import (
 from adafamily.optim import init_state, step
 from adafamily.problems import default_problems_for_gradcheck
 from adafamily.rng import derive_key
-from adafamily.tables import emit_table, ordinal_ranks
+from adafamily.tables import emit_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LINEUP_LABELS = [
@@ -238,11 +238,9 @@ def test_criterion_table_emitter_fidelity(acceptance_report):
     from adafamily.harness import AggregateResult
 
     rows = []
-    ranks = ordinal_ranks(column)
-    for label, mean, rank in zip(LINEUP_LABELS, column, ranks):
+    for label, mean in zip(LINEUP_LABELS, column):
         agg = AggregateResult(label=label)
         agg.means["resnet"] = mean
-        agg.ranks["resnet"] = rank
         agg.divergent["resnet"] = 0
         agg.seeds_per_problem["resnet"] = 10
         rows.append(agg)

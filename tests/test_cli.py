@@ -136,7 +136,7 @@ def test_config_file_roundtrip(tmp_path):
 
 def test_table_csv_reproduces_golden_file(capsys):
     smoke = sorted(str(p) for p in (FIXTURES / "smoke").glob("*.json"))
-    assert len(smoke) == 9
+    assert len(smoke) == 18
     assert main(["table", "--format", "csv", *smoke]) == 0
     captured = capsys.readouterr().out
     assert captured == (FIXTURES / "golden_table.csv").read_text()
@@ -269,6 +269,28 @@ def test_sweep_mu_invalid_mus(tmp_path, capsys, mus):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_mu_repeated_mu_fails_before_training(tmp_path, capsys):
+    code = main(
+        [
+            "sweep-mu",
+            "--mus",
+            "0.5,0.5",
+            "--problem",
+            "quadratic",
+            "--seeds",
+            "2",
+            "--epochs",
+            "1",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config 5: seed 0 of AdaFamily(0.5) on quadratic repeats one from config 4" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_mu_rejects_zero_seeds(tmp_path, capsys):

@@ -35,6 +35,7 @@ from adafamily.harness import (
 )
 from adafamily.optim import Algorithm, DecayMode, OptimizerConfig
 from adafamily.problems import MLP1, Problem
+from adafamily.tables import emit_table, parse_table_csv
 
 
 def _quad_config(**overrides):
@@ -299,16 +300,18 @@ def _register_cliff(name, cliff, finite_loss=False):
     )
 
 
-def _assert_aborts_in_epoch_3(name, finite_loss):
-    # Adam walks +alpha per step up the slope; with alpha=1e-3 the iterate
-    # crosses 2.5e-3 during epoch 3 (steps land near 1e-3, 2e-3, 3e-3, ...)
+def _assert_aborts_in_epoch(name, finite_loss, epoch):
+    # Adam walks +alpha per step up the slope; with alpha=1e-3 the step of
+    # epoch 2 crosses 2.5e-3 (steps land near 1e-3, 2e-3, 3e-3, ...)
     _register_cliff(name, cliff=2.5e-3, finite_loss=finite_loss)
     try:
         config = _quad_config(problem=name, epochs=10)
         result = run_single(config, seed=0)
         assert result.diverged
-        assert result.divergence_epoch == 3
-        assert len(result.train_loss) == 3  # aborted, no post-divergence epochs
+        assert result.divergence_epoch == epoch
+        assert len(result.train_loss) == epoch  # aborted, no post-divergence epochs
+        assert len(result.eval_metric) == epoch
+        assert all(math.isfinite(v) for v in result.train_loss + result.eval_metric)
         assert result.final_metric is None
     finally:
         del _PROBLEM_BUILDERS[name]
@@ -316,12 +319,42 @@ def _assert_aborts_in_epoch_3(name, finite_loss):
 
 
 def test_divergent_run_flags_epoch_and_aborts():
-    _assert_aborts_in_epoch_3("cliff-a", finite_loss=False)
+    # the NaN loss past the cliff shows in epoch 2's evaluation
+    _assert_aborts_in_epoch("cliff-a", finite_loss=False, epoch=2)
 
 
 def test_nan_gradient_with_finite_loss_diverges_the_same_way():
-    # only the optimizer's gradient scan can catch this one
-    _assert_aborts_in_epoch_3("cliff-c", finite_loss=True)
+    # only the optimizer's gradient scan can catch this one, at the next step
+    _assert_aborts_in_epoch("cliff-c", finite_loss=True, epoch=3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_eval_diverges_the_run(tmp_path):
+    # one step of alpha=1e200 leaves a finite iterate whose loss overflows
+    config = _quad_config(
+        epochs=1, optimizer=OptimizerConfig(algorithm=Algorithm.ADAM, alpha=1e200)
+    )
+    aggregates, raw = run_grid([config])
+    (result,) = raw[("Adam", "quadratic")]
+    assert result.diverged and result.divergence_epoch == 0
+    assert result.train_loss == [] and result.eval_metric == []
+    assert result.final_metric is None
+    assert "† Adam on quadratic: 1 of 1 runs diverged" in emit_table(aggregates)
+    path = tmp_path / "r.json"
+    save_results(path, config, [result])
+    json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"wrote {c}"))
+
+
+def test_rosenbrock_overflow_diverges_instead_of_raising():
+    config = _quad_config(
+        problem="rosenbrock",
+        epochs=3,
+        optimizer=OptimizerConfig(algorithm=Algorithm.ADAM, alpha=1e80),
+    )
+    ok = _quad_config(problem="rosenbrock", epochs=3)
+    overflow, fine = run_configs([config, ok])
+    assert overflow[0].diverged and overflow[0].final_metric is None
+    assert not fine[0].diverged
 
 
 def test_divergent_runs_excluded_from_means():
@@ -424,12 +457,15 @@ def test_canonical_row_key_orders_lineup_then_unknown():
 # run_grid aggregation
 
 
+def _table_ranks(aggregates, problem):
+    return [row["ranks"][problem] for row in parse_table_csv(emit_table(aggregates, "csv"))]
+
+
 def test_run_grid_nine_rows_ranks_are_permutation():
     configs = sweep_mu_configs(MU_GRID, "quadratic", seeds=(0,), epochs=3)
     aggregates, raw = run_grid(configs)
     assert len(aggregates) == 9
-    ranks = [agg.ranks["quadratic"] for agg in aggregates]
-    assert sorted(ranks) == list(range(1, 10))
+    assert sorted(_table_ranks(aggregates, "quadratic")) == list(range(1, 10))
     assert len(raw) == 9
 
 
@@ -442,13 +478,13 @@ def test_run_grid_mean_matches_independent_average():
     assert aggregates[0].seeds_per_problem["quadratic"] == 3
 
 
-def test_run_grid_duplicate_algorithms_identical_adjacent_rows():
+def test_run_grid_rejects_duplicate_algorithms():
+    # `table` refuses the files of these two runs, so the grid refuses them too
     config = _quad_config(epochs=2)
-    aggregates, _ = run_grid([config, config])
-    assert [a.label for a in aggregates] == ["Adam", "Adam"]
-    assert aggregates[0].means == aggregates[1].means
-    # ties break by row order, so the duplicates take adjacent ranks
-    assert {aggregates[0].ranks["quadratic"], aggregates[1].ranks["quadratic"]} == {1, 2}
+    with pytest.raises(
+        ValueError, match=r"config 1: seed 0 of Adam on quadratic repeats one from config 0"
+    ):
+        run_grid([config, config])
 
 
 def test_run_grid_identical_behavior_ties_break_by_row_order():
@@ -460,14 +496,22 @@ def test_run_grid_identical_behavior_ties_break_by_row_order():
     aggregates, _ = run_grid([adam, adamw])
     assert aggregates[0].label == "Adam" and aggregates[1].label == "AdamW"
     assert aggregates[0].means["quadratic"] == aggregates[1].means["quadratic"]
-    assert aggregates[0].ranks["quadratic"] == 1
-    assert aggregates[1].ranks["quadratic"] == 2
+    assert _table_ranks(aggregates, "quadratic") == [1, 2]
 
 
 def test_run_grid_seed_override():
     config = _quad_config(epochs=2, seeds=(0,))
     _, raw = run_grid([config], seeds=(0, 1))
     assert [r.seed for r in raw[("Adam", "quadratic")]] == [0, 1]
+
+
+def test_run_grid_merges_configs_differing_only_in_seeds_in_seed_order():
+    aggregates, raw = run_grid(
+        [_quad_config(epochs=2, seeds=(3, 1)), _quad_config(epochs=2, seeds=(2, 0))]
+    )
+    assert [a.label for a in aggregates] == ["Adam"]
+    assert aggregates[0].seeds_per_problem == {"quadratic": 4}
+    assert [r.seed for r in raw[("Adam", "quadratic")]] == [0, 1, 2, 3]
 
 
 def test_run_grid_rejects_empty():
@@ -551,6 +595,45 @@ def test_aggregate_result_files_merges_seed_batches(tmp_path):
     assert merged[0].seeds_per_problem["quadratic"] == 2
 
 
+def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
+    config = _quad_config(epochs=1, seeds=(0, 1))
+    path = tmp_path / "cell.json"
+    save_results(path, config, run_config(config)[:1])
+    with pytest.raises(ValueError, match=r"cell.json: result seeds \[0\] are not the config's"):
+        load_results(path)
+    save_results(path, dataclasses.replace(config, seeds=(0, 2)), run_config(config))
+    with pytest.raises(ValueError, match=r"seeds \[0, 1\] are not the config's seeds \[0, 2\]"):
+        load_results(path)
+
+
+def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
+    # the split Adam cell is one whose mean rounded differently when the
+    # two files were concatenated in file order; folding in seed order
+    # makes every order agree with the grid
+    plan = BatchPlan(batch_size=32, shuffle_seed=12345)
+    split_cell = dict(epochs=2, metric=Metric.FINAL_LOSS)
+    family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.5)
+    configs = [
+        _blobs_config(seeds=(3, 0, 1), **split_cell),
+        _quad_config(epochs=2, seeds=(2, 0, 1)),
+        _blobs_config(seeds=(5, 2, 4), **split_cell),
+        _blobs_config(optimizer=family, seeds=(1, 0), batch_plan=plan),
+    ]
+    aggregates, raw = run_grid(configs)
+    paths = []
+    for i, (config, results) in enumerate(zip(configs, run_configs(configs))):
+        paths.append(tmp_path / f"{i}.json")
+        save_results(paths[-1], config, results)
+    assert aggregate_result_files(paths) == aggregates
+    assert aggregate_result_files(paths[::-1]) == aggregates
+    split = [paths[0], paths[2]]
+    assert aggregate_result_files(split) == aggregate_result_files(split[::-1])
+    assert [r.seed for r in raw[("Adam", "blobs-logreg")]] == [0, 1, 2, 3, 4, 5]
+    assert aggregates[0].means["blobs-logreg"] == float(
+        np.mean([r.final_metric for r in raw[("Adam", "blobs-logreg")]])
+    )
+
+
 def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
     config = _quad_config(epochs=2, seeds=(0, 1))
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -573,6 +656,18 @@ def test_aggregate_result_files_rejects_configs_differing_beyond_seeds(tmp_path)
         aggregate_result_files([path_a, path_b])
     assert "short.json" in str(info.value) and "long.json" in str(info.value)
     assert "in epochs" in str(info.value)
+
+
+def test_save_results_writes_strict_json_only(tmp_path):
+    config = _quad_config(epochs=1)
+    bad = RunResult(
+        seed=0, train_loss=[1.0], eval_metric=[math.inf], final_metric=math.inf,
+        elapsed_seconds=0.0,
+    )
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_results(path, config, [bad])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_results_leaves_no_temporary_file(tmp_path):
@@ -684,14 +779,15 @@ def test_run_grid_payloads_equal_run_single_for_every_problem_kind():
                 _blobs_config(problem=name, epochs=3, optimizer=fast, seeds=(0, 1)),
                 _blobs_config(problem=name, epochs=3, optimizer=family, seeds=(1,)),
             ]
-        _, raw = run_grid(configs)
-        stacked = {key: [_payload(r) for r in results] for key, results in raw.items()}
-        alone = {}
-        for config in configs:
+        # same-label configs differ in epochs and plans here, which the
+        # grid's cell rule refuses, so this runs them through run_configs
+        raw, stacked, alone = {}, {}, {}
+        for config, results in zip(configs, run_configs(configs)):
+            key = (config.optimizer.label, config.problem)
+            raw.setdefault(key, []).extend(results)
+            stacked.setdefault(key, []).extend(_payload(r) for r in results)
             for seed in config.seeds:
-                alone.setdefault((config.optimizer.label, config.problem), []).append(
-                    _payload(run_single(config, seed))
-                )
+                alone.setdefault(key, []).append(_payload(run_single(config, seed)))
         assert stacked == alone
         for name in names:
             fast_runs = raw[("Adam", name)][2:]
@@ -741,4 +837,23 @@ def test_runs_of_a_problem_share_one_loss_grad_call_per_step():
     finally:
         for name in ("count-narrow", "count-wide"):
             del _PROBLEM_BUILDERS[name]
+        build_problem.cache_clear()
+
+
+def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call():
+    counting = _counting("count-rule", hidden=16)
+    try:
+        base = _blobs_config(problem="count-rule", seeds=(0, 1))
+        family = _blobs_config(optimizer=OptimizerConfig(algorithm=Algorithm.ADAFAMILY))
+        repeat = dataclasses.replace(base, seeds=(2, 1))
+        longer = dataclasses.replace(base, epochs=3, seeds=(2,))
+        with pytest.raises(ValueError, match="config 2: seed 1 of Adam on count-rule "
+                           "repeats one from config 0"):
+            run_grid([base, family, repeat])
+        with pytest.raises(ValueError, match="config 1: config of Adam on count-rule "
+                           "differs from config 0 in epochs"):
+            run_grid([base, longer])
+        assert counting.heights == []
+    finally:
+        del _PROBLEM_BUILDERS["count-rule"]
         build_problem.cache_clear()

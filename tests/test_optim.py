@@ -430,6 +430,15 @@ def test_nonpositive_lr_scale_rejected():
         dict(beta2=1.0),
         dict(epsilon=0.0),
         dict(weight_decay=-1e-4),
+        dict(mu=float("nan")),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
+        dict(beta1=float("nan")),
+        dict(beta2=float("nan")),
+        dict(epsilon=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(weight_decay=float("nan"), decay_mode=DecayMode.DECOUPLED),
+        dict(weight_decay=float("inf"), decay_mode=DecayMode.DECOUPLED),
     ],
 )
 def test_config_validation_rejects(kw):

@@ -1,5 +1,7 @@
 """Tests for the objective functions and the finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,15 @@ def test_rosenbrock_fixed_start():
     r = Rosenbrock2D()
     for seed in (0, 1, 12345):
         assert init_params(r, seed).tolist() == [-1.2, 1.0]
+
+
+def test_rosenbrock_overflow_gives_infinite_loss():
+    # Python float ** raises OverflowError here; the loss reads inf instead
+    r = Rosenbrock2D()
+    loss, grad = r.loss_grad(np.array([1e200, 1.0]))
+    assert loss == math.inf
+    losses, _ = r.loss_grad(np.array([[1e200, 1.0], [0.0, 0.0]]))
+    assert losses.tolist() == [math.inf, 1.0]
 
 
 def test_rosenbrock_nonnegative():

@@ -27,7 +27,7 @@ def _payloads(results):
 
 
 def test_smoke_fixtures_present():
-    assert len(SMOKE) == 9
+    assert len(SMOKE) == 18
 
 
 @pytest.mark.parametrize("path", SMOKE, ids=[p.stem for p in SMOKE])

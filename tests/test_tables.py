@@ -20,12 +20,9 @@ LINEUP = [
 
 def _rows(means_by_label, problem="bench", divergent=None, seeds=10):
     rows = []
-    column = [means_by_label[label] for label in means_by_label]
-    ranks = ordinal_ranks(column)
-    for (label, mean), rank in zip(means_by_label.items(), ranks):
+    for label, mean in means_by_label.items():
         agg = AggregateResult(label=label)
         agg.means[problem] = mean
-        agg.ranks[problem] = rank
         agg.divergent[problem] = (divergent or {}).get(label, 0)
         agg.seeds_per_problem[problem] = seeds
         rows.append(agg)
@@ -126,12 +123,10 @@ def test_no_divergence_no_footnote():
 def test_multi_problem_columns():
     a = AggregateResult(label="Adam")
     a.means = {"p1": 1.0, "p2": 9.0}
-    a.ranks = {"p1": 1, "p2": 2}
     a.divergent = {"p1": 0, "p2": 0}
     a.seeds_per_problem = {"p1": 3, "p2": 3}
     b = AggregateResult(label="AdamW")
     b.means = {"p1": 2.0, "p2": 8.0}
-    b.ranks = {"p1": 2, "p2": 1}
     b.divergent = {"p1": 0, "p2": 0}
     b.seeds_per_problem = {"p1": 3, "p2": 3}
     lines = emit_table([a, b], format="md").splitlines()

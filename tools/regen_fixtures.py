@@ -7,7 +7,8 @@ Run from the repository root:
 Outputs:
   fixtures/example_dataset.csv   3-row CSV dataset used by docs and tests
   fixtures/quadratic_run.json    example run-config file for `adafamily run`
-  fixtures/smoke/*.json          results of a small 9-algorithm grid
+  fixtures/smoke/*.json          results of a small 9-algorithm grid on
+                                 blobs-logreg and on blobs-mlp1
   fixtures/golden_table.csv      byte-exact `table --format csv` over smoke/
   fixtures/reference_runs.json   reference Adam runs that fixed the
                                  convergence thresholds (1e-6 quadratic gap,
@@ -44,7 +45,7 @@ from adafamily.tables import emit_table
 
 FIXTURES = ROOT / "fixtures"
 
-SMOKE_PROBLEM = "blobs-logreg"
+SMOKE_PROBLEMS = ("blobs-logreg", "blobs-mlp1")
 SMOKE_SEEDS = (0, 1, 2)
 SMOKE_EPOCHS = 5
 
@@ -73,19 +74,20 @@ def write_smoke_results() -> list[Path]:
     for stale in smoke.glob("*.json"):
         stale.unlink()
     paths = []
-    for optimizer in default_lineup():
-        config = RunConfig(
-            problem=SMOKE_PROBLEM,
-            optimizer=optimizer,
-            epochs=SMOKE_EPOCHS,
-            batch_plan=BatchPlan(batch_size=32, shuffle_seed=12345),
-            schedule=((2, 0.5),),
-            seeds=SMOKE_SEEDS,
-            metric=Metric.TOP1_ERROR,
-        )
-        path = smoke / _results_filename(config)
-        save_results(path, config, run_config(config))
-        paths.append(path)
+    for problem in SMOKE_PROBLEMS:
+        for optimizer in default_lineup():
+            config = RunConfig(
+                problem=problem,
+                optimizer=optimizer,
+                epochs=SMOKE_EPOCHS,
+                batch_plan=BatchPlan(batch_size=32, shuffle_seed=12345),
+                schedule=((2, 0.5),),
+                seeds=SMOKE_SEEDS,
+                metric=Metric.TOP1_ERROR,
+            )
+            path = smoke / _results_filename(config)
+            save_results(path, config, run_config(config))
+            paths.append(path)
     return paths
 
 
