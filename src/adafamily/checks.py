@@ -26,7 +26,6 @@ from .optim import (
     Algorithm,
     DecayMode,
     OptimizerConfig,
-    auxiliary_real_count,
     init_state,
     normalization_factor,
     step,
@@ -413,8 +412,9 @@ def check_state_size() -> tuple[bool, str]:
     for algorithm in Algorithm:
         config = OptimizerConfig(algorithm=algorithm)
         state = init_state(config, dim)
-        if auxiliary_real_count(state) != 2 * dim:
-            return False, f"{algorithm.value} uses {auxiliary_real_count(state)} reals"
+        reals = state.m.size + state.v.size
+        if reals != 2 * dim:
+            return False, f"{algorithm.value} uses {reals} reals"
     return True, f"every algorithm stores exactly 2*d auxiliary reals (d={dim})"
 
 

@@ -288,12 +288,11 @@ def lr_scale_sequence(
 
 def _evaluate(setup: ProblemSetup, params: np.ndarray, metric: Metric) -> np.ndarray:
     """The metric of every row of an (R, dim) parameter stack, in one call."""
+    data = setup.test if setup.test is not None and setup.test.n else setup.train
     if metric is Metric.TOP1_ERROR:
-        data = setup.test if setup.test is not None and setup.test.n else setup.train
         predicted = setup.problem.predict(params, data.features)
         return 100.0 * np.mean(predicted != data.labels, axis=-1)
     if setup.has_data:
-        data = setup.test if setup.test is not None and setup.test.n else setup.train
         return setup.problem.loss(
             params, Batch(features=data.features, labels=data.labels)
         )

@@ -176,19 +176,6 @@ def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
     )
 
 
-def reset(state: OptimizerState) -> OptimizerState:
-    """Zero m, v, and t in place (c is config-derived and kept)."""
-    state.m[:] = 0.0
-    state.v[:] = 0.0
-    state.t = 0
-    return state
-
-
-def auxiliary_real_count(state: OptimizerState) -> int:
-    """Total auxiliary vector storage in 64-bit reals (2d for every algorithm)."""
-    return state.m.size + state.v.size
-
-
 def _rule_constants(config: OptimizerConfig) -> tuple[float, float, float, float]:
     """(p, q, eps_v, eps_den) of the configured algorithm's row in the rule."""
     eps = config.epsilon

@@ -13,7 +13,10 @@ roughly 1e-15 per element.
 
 Every evaluation also takes a stack of R parameter vectors, one per run,
 and computes each row independently: row r of a stacked call equals the
-single-run call byte for byte (see `Problem` and docs/determinism.md).
+single-run call byte for byte.  `Problem.loss` and `Problem.loss_grad`
+check every call and treat a 1-D call as the one-row stack; subclasses
+evaluate stacks only.  The two classifiers share one softmax head, whose
+`loss` runs no backward pass (see `Problem` and docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
 seed-deterministic through :mod:`adafamily.rng`.
@@ -36,9 +39,12 @@ class Problem:
     Evaluations take either one parameter vector of shape (dim,) or a stack
     of R independent rows of shape (R, dim).  A stack gives (R,) losses and
     an (R, dim) gradient whose row r equals, byte for byte, the 1-D call on
-    row r (with row r of the batch when the batch is stacked too).  This
-    default loops over the rows with `row_loss_grad`; the data problems
-    override `loss_grad` with one stacked evaluation.
+    row r (with row r of the batch when the batch is stacked too).
+
+    `loss` and `loss_grad` check the call and evaluate a 1-D call as the
+    one-row stack.  A subclass evaluates (R, dim) stacks in `_loss_grad`,
+    whose default loops over the rows with `row_loss_grad`, and may give
+    `_loss` a forward-only path.
     """
 
     kind: str = "abstract"
@@ -46,16 +52,25 @@ class Problem:
     requires_batch: bool = False
 
     def loss(self, params: np.ndarray, batch: Batch | None = None):
-        return self.loss_grad(params, batch)[0]
+        self._check_eval(params, batch)
+        losses = self._loss(params.reshape(-1, self.dim), batch)
+        return float(losses[0]) if params.ndim == 1 else losses
 
     def loss_grad(self, params: np.ndarray, batch: Batch | None = None):
         self._check_eval(params, batch)
-        if params.ndim == 1:
-            return self.row_loss_grad(params, batch)
-        pairs = [
-            self.row_loss_grad(row, _batch_row(batch, r)) for r, row in enumerate(params)
-        ]
-        return np.array([loss for loss, _ in pairs]), np.stack([grad for _, grad in pairs])
+        losses, grad = self._loss_grad(params.reshape(-1, self.dim), batch)
+        return (float(losses[0]), grad[0]) if params.ndim == 1 else (losses, grad)
+
+    def _loss(self, stack: np.ndarray, batch: Batch | None) -> np.ndarray:
+        return self._loss_grad(stack, batch)[0]
+
+    def _loss_grad(
+        self, stack: np.ndarray, batch: Batch | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        losses, grad = np.empty(len(stack)), np.empty(stack.shape)
+        for r, row in enumerate(stack):
+            losses[r], grad[r] = self.row_loss_grad(row, _batch_row(batch, r))
+        return losses, grad
 
     def row_loss_grad(
         self, params: np.ndarray, batch: Batch | None
@@ -174,31 +189,80 @@ def _softmax_ce(
     return losses, probs
 
 
-def _check_batch_against(num_features: int, num_classes: int, batch: Batch) -> None:
-    if batch.features.shape[-1] != num_features:
-        raise ValueError(
-            f"batch has {batch.features.shape[-1]} features, problem expects {num_features}"
-        )
-    if batch.labels.min() < 0 or batch.labels.max() >= num_classes:
-        raise ValueError(f"batch labels must lie in [0, {num_classes})")
-
-
-def _stacked(params: np.ndarray) -> np.ndarray:
-    return params.reshape(-1, params.shape[-1])
-
-
 def _transposed(matrices: np.ndarray) -> np.ndarray:
     return matrices.transpose(0, 2, 1)
 
 
-def _unstacked(params: np.ndarray, losses: np.ndarray, grad: np.ndarray):
-    # a 1-D call is the one-row stack, returned without its stack axis
-    if params.ndim == 1:
-        return float(losses[0]), grad[0]
-    return losses, grad
+class _Classifier(Problem):
+    """Softmax cross-entropy over a linear head: logits = inputs @ W' + b.
+
+    A subclass passes its parameter layout, a tuple of block shapes whose
+    last two blocks are the head's W (num_classes x width, row-major) and
+    b (num_classes), and supplies two hooks over the stacked views of the
+    blocks before the head (its body):
+
+    - `_head_inputs(body, features)`: the (R, n, width) head inputs, or
+      the features themselves when the head reads them directly;
+    - `_body_grad(body, w, features, inputs, dlogits)`: the gradient
+      blocks of the body, in layout order.  It may overwrite ``inputs``.
+    """
+
+    requires_batch = True
+
+    def __init__(self, num_features: int, num_classes: int, layout: tuple):
+        if num_features < 1 or num_classes < 2:
+            raise ValueError("need num_features >= 1 and num_classes >= 2")
+        self.num_features = num_features
+        self.num_classes = num_classes
+        self._layout = layout
+        self.dim = sum(math.prod(shape) for shape in layout)
+
+    def _check_eval(self, params, batch):
+        super()._check_eval(params, batch)
+        if batch.features.shape[-1] != self.num_features:
+            raise ValueError(
+                f"batch has {batch.features.shape[-1]} features, "
+                f"problem expects {self.num_features}"
+            )
+        if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
+            raise ValueError(f"batch labels must lie in [0, {self.num_classes})")
+
+    def _unpack(self, params: np.ndarray) -> list[np.ndarray]:
+        # (..., dim) -> one view into params per layout block, (..., *shape)
+        lead, views, start = params.shape[:-1], [], 0
+        for shape in self._layout:
+            size = math.prod(shape)
+            views.append(params[..., start : start + size].reshape(lead + shape))
+            start += size
+        return views
+
+    def _forward(self, stack: np.ndarray, features: np.ndarray):
+        *body, w, b = self._unpack(stack)
+        inputs = self._head_inputs(body, features)
+        logits = inputs @ _transposed(w)
+        logits += b[:, None, :]
+        return body, w, inputs, logits
+
+    def _loss(self, stack, batch):
+        # forward only: no backward pass through the layers
+        return _softmax_ce(self._forward(stack, batch.features)[-1], batch.labels)[0]
+
+    def _loss_grad(self, stack, batch):
+        body, w, inputs, logits = self._forward(stack, batch.features)
+        losses, dlogits = _softmax_ce(logits, batch.labels)
+        # the head's gradient first: the body's backward pass may overwrite inputs
+        head = [_transposed(dlogits) @ inputs, dlogits.sum(axis=1)]
+        blocks = self._body_grad(body, w, batch.features, inputs, dlogits) + head
+        r = len(losses)
+        return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
+
+    def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+        logits = self._forward(params.reshape(-1, self.dim), features)[-1]
+        labels = np.argmax(logits, axis=-1)
+        return labels[0] if params.ndim == 1 else labels
 
 
-class LogisticRegression(Problem):
+class LogisticRegression(_Classifier):
     """Multinomial softmax regression.
 
     Parameter layout (documented, fixed): weight matrix W (num_classes x
@@ -206,37 +270,16 @@ class LogisticRegression(Problem):
     """
 
     kind = "logreg"
-    requires_batch = True
 
     def __init__(self, num_features: int, num_classes: int):
-        if num_features < 1 or num_classes < 2:
-            raise ValueError("need num_features >= 1 and num_classes >= 2")
-        self.num_features = num_features
-        self.num_classes = num_classes
-        self.dim = num_classes * num_features + num_classes
+        k, p = num_classes, num_features
+        super().__init__(p, k, ((k, p), (k,)))
 
-    def _unpack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (..., dim) -> W (..., k, p) and b (..., k), views into params
-        k, p = self.num_classes, self.num_features
-        lead = params.shape[:-1]
-        return params[..., : k * p].reshape(lead + (k, p)), params[..., k * p :]
+    def _head_inputs(self, body, features):
+        return features
 
-    def _logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w, b = self._unpack(_stacked(params))
-        return features @ _transposed(w) + b[:, None, :]
-
-    def loss_grad(self, params, batch=None):
-        self._check_eval(params, batch)
-        _check_batch_against(self.num_features, self.num_classes, batch)
-        losses, dlogits = _softmax_ce(self._logits(params, batch.features), batch.labels)
-        grad_w = _transposed(dlogits) @ batch.features
-        grad_b = dlogits.sum(axis=1)
-        grad = np.concatenate([grad_w.reshape(len(losses), -1), grad_b], axis=1)
-        return _unstacked(params, losses, grad)
-
-    def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        labels = np.argmax(self._logits(params, features), axis=-1)
-        return labels[0] if params.ndim == 1 else labels
+    def _body_grad(self, body, w, features, inputs, dlogits):
+        return []
 
     def init_params(self, seed: int) -> np.ndarray:
         # uniform(-s, s) with s = 1/sqrt(fan_in) for weights and biases
@@ -245,7 +288,7 @@ class LogisticRegression(Problem):
         return s * (2.0 * u - 1.0)
 
 
-class MLP1(Problem):
+class MLP1(_Classifier):
     """One hidden tanh layer, softmax cross-entropy output.
 
     Parameter layout (documented, fixed): W1 (hidden x num_features)
@@ -254,80 +297,28 @@ class MLP1(Problem):
     """
 
     kind = "mlp1"
-    requires_batch = True
 
-    def __init__(
-        self,
-        num_features: int,
-        num_classes: int,
-        hidden: int,
-        activation: str = "tanh",
-    ):
-        if num_features < 1 or num_classes < 2 or hidden < 1:
-            raise ValueError("need num_features >= 1, num_classes >= 2, hidden >= 1")
-        if activation != "tanh":
-            raise ValueError(f"unsupported activation {activation!r}, only 'tanh'")
-        self.num_features = num_features
-        self.num_classes = num_classes
+    def __init__(self, num_features: int, num_classes: int, hidden: int):
+        if hidden < 1:
+            raise ValueError("need hidden >= 1")
         self.hidden = hidden
-        self.activation = activation
-        self._sizes = (
-            hidden * num_features,
-            hidden,
-            num_classes * hidden,
-            num_classes,
-        )
-        self.dim = sum(self._sizes)
+        h, p, k = hidden, num_features, num_classes
+        super().__init__(p, k, ((h, p), (h,), (k, h), (k,)))
 
-    def _unpack(self, params: np.ndarray):
-        # (..., dim) -> W1 (..., h, p), b1 (..., h), W2 (..., k, h), b2 (..., k),
-        # views into params
-        h, p, k = self.hidden, self.num_features, self.num_classes
-        s1, s2, s3, _ = self._sizes
-        o = np.cumsum((0, s1, s2, s3))
-        lead = params.shape[:-1]
-        w1 = params[..., o[0] : o[1]].reshape(lead + (h, p))
-        b1 = params[..., o[1] : o[2]]
-        w2 = params[..., o[2] : o[3]].reshape(lead + (k, h))
-        b2 = params[..., o[3] :]
-        return w1, b1, w2, b2
-
-    @staticmethod
-    def _hidden(w1: np.ndarray, b1: np.ndarray, features: np.ndarray) -> np.ndarray:
+    def _head_inputs(self, body, features):
         # tanh(features @ W1' + b1) per row, (R, n, h), in one buffer
+        w1, b1 = body
         a1 = features @ _transposed(w1)
         a1 += b1[:, None, :]
         return np.tanh(a1, out=a1)
 
-    def loss_grad(self, params, batch=None):
-        self._check_eval(params, batch)
-        _check_batch_against(self.num_features, self.num_classes, batch)
-        w1, b1, w2, b2 = self._unpack(_stacked(params))
-        a1 = self._hidden(w1, b1, batch.features)
-        logits = a1 @ _transposed(w2)
-        logits += b2[:, None, :]
-        losses, dlogits = _softmax_ce(logits, batch.labels)
-        grad_w2 = _transposed(dlogits) @ a1
-        grad_b2 = dlogits.sum(axis=1)
+    def _body_grad(self, body, w, features, a1, dlogits):
         # dz1 = da1 * (1 - a1 * a1), computed in place over da1 and a1
-        dz1 = dlogits @ w2
+        dz1 = dlogits @ w
         np.multiply(a1, a1, out=a1)
         np.subtract(1.0, a1, out=a1)
         dz1 *= a1
-        grad_w1 = _transposed(dz1) @ batch.features
-        grad_b1 = dz1.sum(axis=1)
-        r = len(losses)
-        grad = np.concatenate(
-            [grad_w1.reshape(r, -1), grad_b1, grad_w2.reshape(r, -1), grad_b2], axis=1
-        )
-        return _unstacked(params, losses, grad)
-
-    def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(_stacked(params))
-        logits = self._hidden(w1, b1, features) @ _transposed(w2)
-        logits += b2[:, None, :]
-        labels = np.argmax(logits, axis=-1)
-        return labels[0] if params.ndim == 1 else labels
+        return [_transposed(dz1) @ features, dz1.sum(axis=1)]
 
     def init_params(self, seed: int) -> np.ndarray:
         # uniform(-s, s) per layer with s = 1/sqrt(fan_in of that layer)
@@ -335,17 +326,10 @@ class MLP1(Problem):
         s2 = 1.0 / math.sqrt(self.hidden)
         u = rng.uniforms(rng.derive_key(seed, 0), self.dim)
         scaled = 2.0 * u - 1.0
-        n1 = self._sizes[0] + self._sizes[1]
+        n1 = self.hidden * (self.num_features + 1)
         scaled[:n1] *= s1
         scaled[n1:] *= s2
         return scaled
-
-
-def eval_loss_grad(
-    problem: Problem, params: np.ndarray, batch: Batch | None = None
-) -> tuple[float, np.ndarray]:
-    """Loss and exact analytic gradient (mean over the batch when present)."""
-    return problem.loss_grad(np.asarray(params, dtype=np.float64), batch)
 
 
 def finite_diff_grad(
@@ -367,11 +351,6 @@ def finite_diff_grad(
         lo = problem.loss(bumped, batch)
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
-
-
-def init_params(problem: Problem, seed: int) -> np.ndarray:
-    """Seed-deterministic starting parameters for the problem."""
-    return problem.init_params(seed)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,9 +13,7 @@ from adafamily.problems import (
     Quadratic,
     Rosenbrock2D,
     default_problems_for_gradcheck,
-    eval_loss_grad,
     finite_diff_grad,
-    init_params,
     relative_error,
     spd_quadratic,
 )
@@ -37,14 +35,14 @@ def _toy_batch():
 def test_quadratic_identity_values():
     # f = 0.5*(3^2 + 4^2) = 12.5, grad = theta
     q = Quadratic(np.eye(2), np.zeros(2))
-    loss, grad = eval_loss_grad(q, np.array([3.0, 4.0]))
+    loss, grad = q.loss_grad(np.array([3.0, 4.0]))
     assert loss == 12.5
     assert grad.tolist() == [3.0, 4.0]
 
 
 def test_quadratic_minimum_is_floor():
     q = spd_quadratic(7, 6, 30.0)
-    at_min, grad_at_min = eval_loss_grad(q, q.optimum)
+    at_min, grad_at_min = q.loss_grad(q.optimum)
     assert at_min == pytest.approx(q.min_loss, abs=1e-12)
     assert np.max(np.abs(grad_at_min)) < 1e-10
     for i in range(20):
@@ -65,8 +63,8 @@ def test_quadratic_validation():
 
 def test_quadratic_starts_at_origin():
     q = spd_quadratic(1, 4, 10.0)
-    assert init_params(q, 0).tolist() == [0.0] * 4
-    assert init_params(q, 99).tolist() == [0.0] * 4
+    assert q.init_params(0).tolist() == [0.0] * 4
+    assert q.init_params(99).tolist() == [0.0] * 4
 
 
 def test_spd_quadratic_spectrum_and_determinism():
@@ -88,7 +86,7 @@ def test_spd_quadratic_spectrum_and_determinism():
 
 def test_rosenbrock_global_minimum():
     r = Rosenbrock2D()
-    loss, grad = eval_loss_grad(r, np.array([1.0, 1.0]))
+    loss, grad = r.loss_grad(np.array([1.0, 1.0]))
     assert loss == 0.0
     assert grad.tolist() == [0.0, 0.0]
 
@@ -96,7 +94,7 @@ def test_rosenbrock_global_minimum():
 def test_rosenbrock_gradient_at_origin():
     # f = (1-x)^2 + 100(y-x^2)^2; df/dx(0,0) = -2, df/dy(0,0) = 0
     r = Rosenbrock2D()
-    loss, grad = eval_loss_grad(r, np.zeros(2))
+    loss, grad = r.loss_grad(np.zeros(2))
     assert loss == 1.0
     assert grad.tolist() == [-2.0, 0.0]
     fd = finite_diff_grad(r, np.zeros(2))
@@ -106,7 +104,7 @@ def test_rosenbrock_gradient_at_origin():
 def test_rosenbrock_fixed_start():
     r = Rosenbrock2D()
     for seed in (0, 1, 12345):
-        assert init_params(r, seed).tolist() == [-1.2, 1.0]
+        assert r.init_params(seed).tolist() == [-1.2, 1.0]
 
 
 def test_rosenbrock_overflow_gives_infinite_loss():
@@ -133,7 +131,7 @@ def test_rosenbrock_nonnegative():
 def test_logreg_zero_params_gives_log_k():
     # all logits equal => softmax is uniform => loss = ln(num_classes)
     lr = LogisticRegression(num_features=2, num_classes=2)
-    loss, _ = eval_loss_grad(lr, np.zeros(lr.dim), _toy_batch())
+    loss, _ = lr.loss_grad(np.zeros(lr.dim), _toy_batch())
     assert loss == pytest.approx(np.log(2.0), rel=1e-14)
 
     lr3 = LogisticRegression(num_features=4, num_classes=3)
@@ -141,13 +139,13 @@ def test_logreg_zero_params_gives_log_k():
         features=rng.normals(66, 24).reshape(6, 4),
         labels=np.array([0, 1, 2, 0, 1, 2], dtype=np.int64),
     )
-    loss, _ = eval_loss_grad(lr3, np.zeros(lr3.dim), batch)
+    loss, _ = lr3.loss_grad(np.zeros(lr3.dim), batch)
     assert loss == pytest.approx(np.log(3.0), rel=1e-14)
 
 
 def test_logreg_gradient_vs_oracle_at_zero():
     lr = LogisticRegression(num_features=2, num_classes=2)
-    _, grad = eval_loss_grad(lr, np.zeros(lr.dim), _toy_batch())
+    _, grad = lr.loss_grad(np.zeros(lr.dim), _toy_batch())
     fd = finite_diff_grad(lr, np.zeros(lr.dim), _toy_batch())
     assert relative_error(grad, fd) < 1e-8
 
@@ -169,7 +167,7 @@ def test_softmax_is_stable_at_huge_logits():
     lr = LogisticRegression(num_features=1, num_classes=2)
     batch = Batch(features=np.array([[1000.0]]), labels=np.array([0], dtype=np.int64))
     params = np.array([1.0, -1.0, 0.0, 0.0])  # W = [[1], [-1]], b = 0
-    loss, grad = eval_loss_grad(lr, params, batch)
+    loss, grad = lr.loss_grad(params, batch)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
     assert loss == pytest.approx(0.0, abs=1e-12)
@@ -187,22 +185,17 @@ def test_mlp_parameter_layout():
     assert b2.tolist() == [15.0, 16.0]
 
 
-def test_mlp_rejects_unknown_activation():
-    with pytest.raises(ValueError):
-        MLP1(num_features=2, num_classes=2, hidden=3, activation="relu")
-
-
 def test_init_params_seeded_and_scaled():
     lr = LogisticRegression(num_features=16, num_classes=3)
-    a = init_params(lr, 5)
-    b = init_params(lr, 5)
-    c = init_params(lr, 6)
+    a = lr.init_params(5)
+    b = lr.init_params(5)
+    c = lr.init_params(6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.max(np.abs(a)) <= 1.0 / 4.0  # 1/sqrt(16)
 
     m = MLP1(num_features=16, num_classes=3, hidden=4)
-    p = init_params(m, 7)
+    p = m.init_params(7)
     n1 = 4 * 16 + 4
     assert np.max(np.abs(p[:n1])) <= 1.0 / 4.0  # fan_in 16
     assert np.max(np.abs(p[n1:])) <= 1.0 / 2.0  # fan_in 4
@@ -255,7 +248,7 @@ def test_finite_diff_requires_positive_h():
 def test_batch_mean_linearity():
     # whole-batch loss/grad equals the average of per-example ones
     m = MLP1(num_features=3, num_classes=2, hidden=4)
-    params = init_params(m, 3)
+    params = m.init_params(3)
     feats = rng.normals(70, 18).reshape(6, 3)
     labels = (rng.random_u64(71, 6) % np.uint64(2)).astype(np.int64)
     whole = Batch(features=feats, labels=labels)
@@ -273,7 +266,7 @@ def test_batch_mean_linearity():
 
 def test_permutation_invariance():
     lr = LogisticRegression(num_features=4, num_classes=3)
-    params = init_params(lr, 11)
+    params = lr.init_params(11)
     feats = rng.normals(72, 40).reshape(10, 4)
     labels = (rng.random_u64(73, 10) % np.uint64(3)).astype(np.int64)
     base_loss, base_grad = lr.loss_grad(params, Batch(features=feats, labels=labels))
@@ -340,24 +333,32 @@ def _stack_cases():
 
 
 def test_stacked_loss_grad_rows_equal_single_calls():
+    # the forward-only loss must give the bytes of loss_grad's loss
     for problem, params, feats, labels in _stack_cases():
         losses, grads = problem.loss_grad(params, Batch(feats, labels))
         assert losses.shape == (len(params),) and grads.shape == params.shape
+        assert problem.loss(params, Batch(feats, labels)).tobytes() == losses.tobytes()
         for r, row in enumerate(params):
             loss, grad = problem.loss_grad(row, Batch(feats[r], labels[r]))
             assert isinstance(loss, float)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
+            forward = problem.loss(row, Batch(feats[r], labels[r]))
+            assert isinstance(forward, float)
+            assert np.float64(forward).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_params_over_one_shared_batch_equal_single_calls():
     for problem, params, feats, labels in _stack_cases():
         shared = Batch(feats[0], labels[0])
         losses, grads = problem.loss_grad(params, shared)
+        assert problem.loss(params, shared).tobytes() == losses.tobytes()
         for r, row in enumerate(params):
             loss, grad = problem.loss_grad(row, shared)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
+            forward = problem.loss(row, shared)
+            assert np.float64(forward).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_predict_rows_equal_single_calls():

@@ -3,7 +3,10 @@
 Each file under fixtures/smoke/ stores the RunConfig that produced it.
 Re-running that config must give payloads equal to the committed ones in
 every field but elapsed_seconds, so any change to the arithmetic of the
-optimizer, the problems or the data pipeline shows up here.
+optimizer, the problems or the data pipeline shows up here.  Replayed
+alone, each config's lockstep stack holds one algorithm; replayed all
+together, the stacks mix every algorithm of a problem, and must still
+give the same payloads.
 """
 
 import json
@@ -11,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from adafamily.harness import load_results, run_config
+from adafamily.harness import load_results, run_config, run_configs
 
 SMOKE = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "smoke").glob("*.json"))
 
@@ -34,3 +37,14 @@ def test_smoke_fixtures_present():
 def test_smoke_fixture_replays_bitwise(path):
     config, committed = load_results(path)
     assert _payloads(run_config(config)) == _payloads(committed)
+
+
+def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
+    loaded = [load_results(path) for path in SMOKE]
+    replayed = run_configs([config for config, _ in loaded])
+    differing = [
+        path.stem
+        for path, (_, committed), results in zip(SMOKE, loaded, replayed)
+        if _payloads(results) != _payloads(committed)
+    ]
+    assert differing == []
