@@ -186,8 +186,9 @@ class RunConfig:
             raise ValueError(
                 f"milestones must lie in [0, epochs={self.epochs}): {milestones}"
             )
-        if any(f <= 0.0 for _, f in self.schedule):
-            raise ValueError("schedule factors must be > 0")
+        for _, f in self.schedule:
+            if not 0.0 < f < math.inf:
+                raise ValueError(f"schedule factors must be finite and > 0, got {f}")
 
     def to_dict(self) -> dict:
         return {
@@ -329,7 +330,6 @@ class _Run:
     plan: BatchPlan | None
     train_loss: list[float] = field(default_factory=list)
     eval_metric: list[float] = field(default_factory=list)
-    epoch_losses: list[float] = field(default_factory=list)
     divergence_epoch: int | None = None
 
     @property
@@ -391,9 +391,16 @@ def _train_group(
             if setup.has_data
             else [None]
         )
+        steppers = [
+            (run, run.state, run.config.optimizer, run.scales[epoch]) for run in stack
+        ]
+        loss_rows = []
         for batch in epoch_batches:
             losses, grads = problem.loss_grad(params, batch)
-            for r, (run, loss) in enumerate(zip(stack, losses.tolist())):
+            loss_rows.append(losses)
+            for r, ((run, state, optimizer, scale), loss) in enumerate(
+                zip(steppers, losses.tolist())
+            ):
                 if run.diverged:
                     continue
                 if not math.isfinite(loss):
@@ -401,27 +408,26 @@ def _train_group(
                     continue
                 # step scans the gradient and raises before touching any state
                 try:
-                    params[r] = step(
-                        run.state, params[r], grads[r], run.config.optimizer,
-                        lr_scale=run.scales[epoch],
-                    )
+                    params[r] = step(state, params[r], grads[r], optimizer, lr_scale=scale)
                 except NonFiniteGradientError:
                     run.divergence_epoch = epoch
-                    continue
-                run.epoch_losses.append(loss)
-        stack, params = _leave(stack, params, lambda run: not run.diverged)
+        # one contiguous (runs, batches) row per run: np.mean sums each row
+        # exactly as it would sum that run's losses on their own
+        stack, params, epoch_losses = _leave(
+            stack, lambda run: not run.diverged, params, np.stack(loss_rows, axis=1)
+        )
         if not stack:
             break
-        for run, value in zip(stack, _evaluate(setup, params, metric).tolist()):
-            train_loss = float(np.mean(run.epoch_losses))
+        train_losses = np.mean(epoch_losses, axis=1).tolist()
+        values = _evaluate(setup, params, metric).tolist()
+        for run, value, train_loss in zip(stack, values, train_losses):
             if not (math.isfinite(value) and math.isfinite(train_loss)):
                 run.divergence_epoch = epoch
                 continue
             run.train_loss.append(train_loss)
-            run.epoch_losses = []
             run.eval_metric.append(value)
         stack, params = _leave(
-            stack, params, lambda r: not r.diverged and len(r.train_loss) < r.config.epochs
+            stack, lambda r: not r.diverged and len(r.train_loss) < r.config.epochs, params
         )
         if not stack:
             break
@@ -439,12 +445,12 @@ def _train_group(
     return [run.result(elapsed) for run in runs]
 
 
-def _leave(stack: list[_Run], params: np.ndarray, stays: Callable[[_Run], bool]):
-    """The runs that stay in the stack, with their parameter rows."""
+def _leave(stack: list[_Run], stays: Callable[[_Run], bool], *rows: np.ndarray):
+    """The runs that stay in the stack, then their rows of each array."""
     keep = [r for r, run in enumerate(stack) if stays(run)]
     if len(keep) == len(stack):
-        return stack, params
-    return [stack[r] for r in keep], params[keep]
+        return (stack, *rows)
+    return ([stack[r] for r in keep], *(a[keep] for a in rows))
 
 
 def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:

@@ -198,8 +198,10 @@ def step(
     """One update of the configured algorithm; returns new parameters and
     mutates the state's m, v and t in place.
 
-    A rejected call (mismatched shapes, a non-finite gradient, lr_scale <= 0)
-    raises before any state changes.  Coupled decay adds weight_decay * params
+    A rejected call raises before any state changes.  It is rejected for
+    mismatched shapes, for a non-finite gradient entry (the error names the
+    first one's index), and for an lr_scale that is not finite and > 0
+    (NaN and inf included).  Coupled decay adds weight_decay * params
     to the gradient; decoupled decay subtracts
     lr_scale * alpha * weight_decay * params (pre-update) from the result.
     """
@@ -207,11 +209,17 @@ def step(
         raise BufferMismatchError(
             f"state dim {state.dim}, params shape {params.shape}, grad shape {grad.shape}"
         )
-    if not np.isfinite(grad).all():  # the method form skips np.all's dispatch
-        idx = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NonFiniteGradientError(f"non-finite gradient at index {idx} ({float(grad[idx])})")
-    if lr_scale <= 0.0:
-        raise ValueError(f"lr_scale must be > 0, got {lr_scale}")
+    # a finite sum implies finite entries; the exact scan runs only when the
+    # sum is not finite, which finite entries can also give by overflowing
+    if not math.isfinite(np.add.reduce(grad)):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            idx = int(bad[0])
+            raise NonFiniteGradientError(
+                f"non-finite gradient at index {idx} ({float(grad[idx])})"
+            )
+    if not 0.0 < lr_scale < math.inf:
+        raise ValueError(f"lr_scale must be finite and > 0, got {lr_scale}")
     p, q, eps_v, eps_den = _rule_constants(config)
     b1, b2 = config.beta1, config.beta2
     lr = lr_scale * config.alpha

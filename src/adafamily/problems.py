@@ -169,18 +169,50 @@ class Rosenbrock2D(Problem):
         return np.array(self.START)
 
 
+def _over_classes(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` as elementwise calls across the columns
+    of the last (class) axis, in class order.
+
+    numpy starts a reduction from the ufunc's identity where it has one and
+    folds fewer than 8 contiguous terms left to right, so for K < 8 columns
+    this gives its bytes for any input without a NaN (one with a NaN gives
+    NaN, whose sign bit may differ).  For K >= 8 the fold stays sequential
+    where numpy's sum turns pairwise.  Per-call dispatch over a few wide
+    columns costs far less than numpy's reduction over many K-wide rows.
+    """
+    first = x[..., 0]
+    out = first.copy() if ufunc.identity is None else ufunc(ufunc.identity, first)
+    for k in range(1, x.shape[-1]):
+        ufunc(out, x[..., k], out=out)
+    return out
+
+
+def _over_batch(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of an (R, B, K) stack, byte for byte.
+
+    numpy sums a strided batch axis sequentially, one (K,) slab per sample;
+    a batch-major contiguous copy summed over its leading axis adds the same
+    terms in the same order through one wide loop.  With K = 1 the batch
+    axis is contiguous, and numpy sums it pairwise, so that case keeps
+    numpy's own sum.
+    """
+    if x.shape[-1] == 1:
+        return x.sum(axis=1)
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).sum(axis=0)
+
+
 def _softmax_ce(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row mean cross-entropy and d(loss)/d(logits), max-subtraction stabilized.
 
     ``logits`` is (R, B, K); ``labels`` is (B,) or (R, B).  The per-sample
-    reductions run over the class axis, the last and contiguous one.
+    max and sum over the class axis run through `_over_classes`.
     """
     # in-place steps round exactly as the out-of-place expressions would
-    probs = logits - logits.max(axis=-1, keepdims=True)
+    probs = logits - _over_classes(np.maximum, logits)[..., None]
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= _over_classes(np.add, probs)[..., None]
     r, n = logits.shape[0], logits.shape[1]
     at_label = (np.arange(r)[:, None], np.arange(n), labels)
     losses = np.mean(-np.log(np.maximum(probs[at_label], 1e-300)), axis=-1)
@@ -251,7 +283,7 @@ class _Classifier(Problem):
         body, w, inputs, logits = self._forward(stack, batch.features)
         losses, dlogits = _softmax_ce(logits, batch.labels)
         # the head's gradient first: the body's backward pass may overwrite inputs
-        head = [_transposed(dlogits) @ inputs, dlogits.sum(axis=1)]
+        head = [_transposed(dlogits) @ inputs, _over_batch(dlogits)]
         blocks = self._body_grad(body, w, batch.features, inputs, dlogits) + head
         r = len(losses)
         return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
@@ -318,7 +350,7 @@ class MLP1(_Classifier):
         np.multiply(a1, a1, out=a1)
         np.subtract(1.0, a1, out=a1)
         dz1 *= a1
-        return [_transposed(dz1) @ features, dz1.sum(axis=1)]
+        return [_transposed(dz1) @ features, _over_batch(dz1)]
 
     def init_params(self, seed: int) -> np.ndarray:
         # uniform(-s, s) per layer with s = 1/sqrt(fan_in of that layer)

@@ -123,6 +123,12 @@ def test_run_config_rejects_nonpositive_factor():
         _quad_config(epochs=10, schedule=((5, 0.0),))
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf])
+def test_run_config_rejects_nonfinite_factor(factor):
+    with pytest.raises(ValueError, match=rf"finite and > 0, got {factor}"):
+        _quad_config(epochs=10, schedule=((5, factor),))
+
+
 def test_run_config_rejects_repeated_seed():
     with pytest.raises(ValueError, match="seed 0 repeats"):
         _quad_config(seeds=(0, 1, 0))

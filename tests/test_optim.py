@@ -6,6 +6,7 @@ share no code with it.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -394,6 +395,52 @@ def test_nonpositive_lr_scale_rejected():
         step(st, np.zeros(1), np.zeros(1), cfg, lr_scale=0.0)
     with pytest.raises(ValueError):
         step(st, np.zeros(1), np.zeros(1), cfg, lr_scale=-1.0)
+
+
+@pytest.mark.parametrize(
+    "bad,index",
+    [
+        ([0.5, np.nan, 1.0, -2.0], 1),
+        ([0.5, 1.0, np.inf, -2.0], 2),
+        ([-np.inf, 1.0, 0.5, -2.0], 0),
+        ([0.5, np.inf, -np.inf, -2.0], 1),  # the sum is NaN, not an infinity
+    ],
+)
+def test_nonfinite_gradient_raises_before_touching_stepped_state(bad, index):
+    cfg = _af(0.25)
+    st = init_state(cfg, 4)
+    params = step(st, np.ones(4), np.array([0.5, -1.0, 2.0, 0.25]), cfg)
+    m, v = st.m.copy(), st.v.copy()
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteGradientError, match=rf"at index {index} "):
+            step(st, params, np.array(bad), cfg)
+    assert st.t == 1
+    assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize(
+    "algorithm,oracle",
+    [(Algorithm.ADAM, ref_adam_run), (Algorithm.ADABELIEF, ref_adabelief_run)],
+)
+def test_finite_gradient_whose_sum_overflows_steps_like_the_oracle(algorithm, oracle):
+    # every entry is finite, but their sum overflows to inf: the step must
+    # go ahead, and the squared entries overflow the same way in the oracle
+    grads = np.array([[1e308, 1e308, -1e308, 1e308]] * 3)
+    theta0 = np.array([0.5, -1.0, 2.0, 0.25])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(grads[0]))
+        fast = trajectory(OptimizerConfig(algorithm=algorithm), grads, theta0)
+        ref = oracle(grads.tolist(), theta0.tolist())
+    assert fast == ref
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_nonfinite_lr_scale_rejected(scale):
+    cfg = _af(0.5)
+    st = init_state(cfg, 1)
+    with pytest.raises(ValueError, match=rf"lr_scale must be finite and > 0, got {scale}"):
+        step(st, np.zeros(1), np.zeros(1), cfg, lr_scale=scale)
+    assert st.t == 0
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,8 @@ from adafamily.problems import (
     MLP1,
     Quadratic,
     Rosenbrock2D,
+    _over_batch,
+    _over_classes,
     default_problems_for_gradcheck,
     finite_diff_grad,
     relative_error,
@@ -319,10 +321,18 @@ def test_relative_error_definition():
 
 
 def _stack_cases():
-    # shapes cover one-wide layers, two classes, batches below, at and above
-    # the 8-wide unrolled summation block, and a short final batch of one
+    # shapes cover one-wide layers (also over a full batch), two classes,
+    # batches below, at and above the 8-wide unrolled summation block, and a
+    # short final batch of one
     for i, (p, k, h, n, r) in enumerate(
-        [(8, 3, 16, 32, 9), (5, 2, 1, 1, 3), (3, 4, 7, 9, 1), (8, 3, 64, 33, 5), (2, 2, 3, 120, 4)]
+        [
+            (8, 3, 16, 32, 9),
+            (5, 2, 1, 1, 3),
+            (3, 4, 7, 9, 1),
+            (8, 3, 64, 33, 5),
+            (2, 2, 3, 120, 4),
+            (4, 3, 1, 32, 6),
+        ]
     ):
         for problem in (LogisticRegression(p, k), MLP1(p, k, hidden=h)):
             key = rng.derive_key(900 + i, problem.dim)
@@ -391,3 +401,59 @@ def test_stacked_batch_needs_one_parameter_row_per_batch():
         problem.loss_grad(params[0], Batch(feats, labels))
     with pytest.raises(ValueError, match="parameters"):
         problem.loss_grad(params[:, :-1], Batch(feats, labels))
+
+
+# -------------------------------------------------------------------------
+# the softmax head's reductions give numpy's bytes
+# -------------------------------------------------------------------------
+
+
+def _mixed_scale(key, shape):
+    # normals times powers of ten from 1e-20 to 1e20
+    n = math.prod(shape)
+    powers = (rng.random_u64(rng.derive_key(key, 1), n) % np.uint64(41)).astype(np.int64)
+    return (rng.normals(rng.derive_key(key, 0), n) * 10.0 ** (powers - 20)).reshape(shape)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_reductions_equal_numpys_on_mixed_scales(k):
+    x = _mixed_scale(950 + k, (42, 32, k))
+    assert _over_classes(np.maximum, x).tobytes() == x.max(axis=-1).tobytes()
+    assert _over_classes(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_reductions_equal_numpys_on_nonfinite_rows(k):
+    # a row without NaN, infinities and signed zeros included, gives numpy's
+    # bytes; a row with a NaN gives NaN, whose sign bit numpy itself picks
+    # differently in its scalar and SIMD loops
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5])
+    pick = rng.random_u64(rng.derive_key(960, k), 8 * 50 * k) % np.uint64(len(specials))
+    x = specials[pick.astype(np.int64)].reshape(8, 50, k)
+    has_nan = np.isnan(x).any(axis=-1)
+    assert has_nan.any() and not has_nan.all()
+    with np.errstate(invalid="ignore"):
+        for ufunc, reduced in ((np.maximum, x.max(axis=-1)), (np.add, x.sum(axis=-1))):
+            got = _over_classes(ufunc, x)
+            assert got[~has_nan].tobytes() == reduced[~has_nan].tobytes()
+            assert np.isnan(got[has_nan]).all() and np.isnan(reduced[has_nan]).all()
+
+
+def test_class_sum_folds_left_to_right_from_zero():
+    # (1 + 2**-53) + 2**-53 rounds to 1 twice; any other grouping gives 1 + 2**-52
+    x = np.array([[1.0, 2.0**-53, 2.0**-53]])
+    assert x.sum(axis=-1).tolist() == [1.0]
+    assert _over_classes(np.add, x).tolist() == [1.0]
+    # the sum starts from +0, so negative zeros sum to +0; the max keeps -0
+    zeros = np.array([[-0.0, -0.0, -0.0]])
+    assert _over_classes(np.add, zeros).tobytes() == zeros.sum(axis=-1).tobytes()
+    assert _over_classes(np.maximum, zeros).tobytes() == zeros.max(axis=-1).tobytes()
+    assert np.signbit(zeros.max(axis=-1)) and not np.signbit(zeros.sum(axis=-1))
+
+
+@pytest.mark.parametrize(
+    "shape", [(42, 32, 3), (42, 32, 16), (6, 32, 16), (1, 32, 1024), (42, 32, 1), (1, 32, 1)]
+)
+def test_batch_sum_equals_numpys(shape):
+    x = _mixed_scale(970 + shape[0] + shape[-1], shape)
+    assert _over_batch(x).tobytes() == x.sum(axis=1).tobytes()
