@@ -24,7 +24,6 @@ import numpy as np
 from . import rng
 from .optim import (
     Algorithm,
-    DecayMode,
     OptimizerConfig,
     init_state,
     normalization_factor,
@@ -259,14 +258,6 @@ def ref_adabelief_eps_in_v_run(
     return out
 
 
-REFERENCE_RUNS: dict[Algorithm, Callable[..., list[list[float]]]] = {
-    Algorithm.ADAM: ref_adam_run,
-    Algorithm.ADAMW: ref_adamw_run,
-    Algorithm.ADABELIEF: ref_adabelief_run,
-    Algorithm.ADAMOMENTUM: ref_adamomentum_run,
-}
-
-
 def max_relative_divergence(a: Sequence[Vector], b: Sequence[Vector]) -> float:
     """Largest |a - b| / max(|a|, |b|, 1) over two trajectories.
 
@@ -394,12 +385,7 @@ def check_determinism() -> tuple[bool, str]:
     theta0 = rng.normals(16, dim)
     grads = rng.normals(17, steps * dim).reshape(steps, dim)
     for algorithm in Algorithm:
-        config = OptimizerConfig(
-            algorithm=algorithm,
-            mu=0.25,
-            weight_decay=1e-4,
-            decay_mode=DecayMode.COUPLED if algorithm is Algorithm.ADAM else DecayMode.DECOUPLED,
-        )
+        config = OptimizerConfig(algorithm=algorithm, mu=0.25, weight_decay=1e-4)
         a = trajectory(config, grads, theta0)
         b = trajectory(config, grads, theta0)
         if a != b:

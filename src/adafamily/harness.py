@@ -34,7 +34,6 @@ from . import rng
 from .data import Batch, BatchPlan, Dataset, batches, gen_gaussian_blobs, split
 from .optim import (
     Algorithm,
-    DecayMode,
     NonFiniteGradientError,
     OptimizerConfig,
     OptimizerState,
@@ -186,9 +185,13 @@ class RunConfig:
             raise ValueError(
                 f"milestones must lie in [0, epochs={self.epochs}): {milestones}"
             )
-        for _, f in self.schedule:
-            if not 0.0 < f < math.inf:
-                raise ValueError(f"schedule factors must be finite and > 0, got {f}")
+        # every factor's milestone lies in [0, epochs), so a bad factor shows
+        # in the sequence, as does a product that underflows or overflows
+        for epoch, scale in enumerate(lr_scale_sequence(self.schedule, self.epochs)):
+            if not 0.0 < scale < math.inf:
+                raise ValueError(
+                    f"lr scale at epoch {epoch} must be finite and > 0, got {scale}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -502,15 +505,8 @@ def default_lineup(
     mus: Sequence[float] = MU_GRID,
 ) -> list[OptimizerConfig]:
     """The 9-row comparison: 4 baselines plus the blend at each mu."""
-    def mode(algorithm: Algorithm) -> DecayMode:
-        if weight_decay == 0.0:
-            return DecayMode.NONE
-        return DecayMode.COUPLED if algorithm is Algorithm.ADAM else DecayMode.DECOUPLED
-
     rows = [
-        OptimizerConfig(
-            algorithm=a, alpha=alpha, weight_decay=weight_decay, decay_mode=mode(a)
-        )
+        OptimizerConfig(algorithm=a, alpha=alpha, weight_decay=weight_decay)
         for a in (
             Algorithm.ADAM,
             Algorithm.ADAMW,
@@ -520,11 +516,7 @@ def default_lineup(
     ]
     rows.extend(
         OptimizerConfig(
-            algorithm=Algorithm.ADAFAMILY,
-            mu=mu,
-            alpha=alpha,
-            weight_decay=weight_decay,
-            decay_mode=mode(Algorithm.ADAFAMILY),
+            algorithm=Algorithm.ADAFAMILY, mu=mu, alpha=alpha, weight_decay=weight_decay
         )
         for mu in mus
     )

@@ -52,12 +52,6 @@ class Algorithm(enum.Enum):
     ADAMOMENTUM = "AdaMomentum"
 
 
-class DecayMode(enum.Enum):
-    NONE = "none"
-    COUPLED = "coupled"
-    DECOUPLED = "decoupled"
-
-
 class BufferMismatchError(ValueError):
     """Parameter, gradient, and state buffers disagree in length."""
 
@@ -79,9 +73,10 @@ def normalization_factor(mu: float) -> float:
 class OptimizerConfig:
     """Scalar hyperparameters of one optimizer instance.
 
-    ``mu`` is only meaningful for Algorithm.ADAFAMILY.  Adam may use coupled
-    (L2-style) weight decay; every other algorithm decays decoupled, AdamW
-    style.  Invalid combinations are rejected at construction.
+    ``mu`` is only meaningful for Algorithm.ADAFAMILY.  The algorithm fixes
+    where weight decay goes: Adam adds it to the gradient (coupled, L2
+    style); every other algorithm decays decoupled, AdamW style.  Invalid
+    values are rejected at construction.
     """
 
     algorithm: Algorithm
@@ -91,7 +86,6 @@ class OptimizerConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
-    decay_mode: DecayMode = DecayMode.NONE
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
@@ -106,17 +100,12 @@ class OptimizerConfig:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.weight_decay > 0.0 and self.decay_mode is DecayMode.NONE:
-            raise ValueError(
-                "weight_decay > 0 needs an explicit decay_mode (coupled or decoupled)"
-            )
-        if self.algorithm is Algorithm.ADAM:
-            if self.decay_mode is DecayMode.DECOUPLED:
-                raise ValueError("Adam uses coupled weight decay; pick COUPLED or NONE")
-        elif self.decay_mode is DecayMode.COUPLED:
-            raise ValueError(
-                f"{self.algorithm.value} uses decoupled weight decay; pick DECOUPLED or NONE"
-            )
+
+    @property
+    def decay_mode(self) -> str:
+        """Where weight decay goes: 'none' without it, else the algorithm's
+        placement ('coupled' for Adam, 'decoupled' for the rest)."""
+        return _placement(self.algorithm) if self.weight_decay > 0.0 else "none"
 
     @property
     def label(self) -> str:
@@ -134,15 +123,28 @@ class OptimizerConfig:
             "beta2": self.beta2,
             "epsilon": self.epsilon,
             "weight_decay": self.weight_decay,
-            "decay_mode": self.decay_mode.value,
+            "decay_mode": self.decay_mode,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
-        d = dict(d)
-        d["algorithm"] = Algorithm(d["algorithm"])
-        d["decay_mode"] = DecayMode(d.get("decay_mode", "none"))
-        return cls(**d)
+        """Inverse of to_dict.  A stored decay_mode must be the derived one or,
+        with weight_decay 0, the algorithm's placement; it may be absent."""
+        fields = dict(d)
+        fields["algorithm"] = Algorithm(fields["algorithm"])
+        fields.pop("decay_mode", None)
+        config = cls(**fields)
+        stored = d.get("decay_mode", config.decay_mode)
+        if stored not in (config.decay_mode, _placement(config.algorithm)):
+            raise ValueError(
+                f"decay_mode {stored!r} does not fit {config.algorithm.value} with "
+                f"weight_decay={config.weight_decay}, which decays {config.decay_mode!r}"
+            )
+        return config
+
+
+def _placement(algorithm: Algorithm) -> str:
+    return "coupled" if algorithm is Algorithm.ADAM else "decoupled"
 
 
 @dataclass
@@ -201,9 +203,10 @@ def step(
     A rejected call raises before any state changes.  It is rejected for
     mismatched shapes, for a non-finite gradient entry (the error names the
     first one's index), and for an lr_scale that is not finite and > 0
-    (NaN and inf included).  Coupled decay adds weight_decay * params
-    to the gradient; decoupled decay subtracts
-    lr_scale * alpha * weight_decay * params (pre-update) from the result.
+    (NaN and inf included).  Adam's coupled decay adds
+    weight_decay * params to the gradient; every other algorithm's
+    decoupled decay subtracts lr_scale * alpha * weight_decay * params
+    (pre-update) from the result.
     """
     if params.shape != (state.dim,) or grad.shape != (state.dim,):
         raise BufferMismatchError(
@@ -225,7 +228,8 @@ def step(
     lr = lr_scale * config.alpha
     state.t += 1
     t = state.t
-    if config.decay_mode is DecayMode.COUPLED and config.weight_decay > 0.0:
+    coupled = config.algorithm is Algorithm.ADAM
+    if coupled and config.weight_decay > 0.0:
         grad = grad + config.weight_decay * params
     # each in-place operation below rounds exactly as the textbook
     # expression it replaces; constants are never folded across operations
@@ -247,7 +251,7 @@ def step(
     update /= den
     update *= lr
     new_params = params - update
-    if config.decay_mode is DecayMode.DECOUPLED and config.weight_decay > 0.0:
+    if not coupled and config.weight_decay > 0.0:
         new_params -= (lr * config.weight_decay) * params
     return new_params
 

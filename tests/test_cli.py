@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from adafamily.checks import CHECKS
 from adafamily.cli import (
     OUT_DIR_ENV,
     load_run_config_file,
@@ -324,6 +325,12 @@ def test_check_filter_passes(capsys):
     assert main(["check", "--filter", "normalization"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_every_self_check_passes(name, check):
+    passed, detail = check()
+    assert passed, f"{name}: {detail}"
 
 
 def test_check_unknown_filter_fails(capsys):

@@ -33,7 +33,7 @@ from adafamily.harness import (
     save_results,
     sweep_mu_configs,
 )
-from adafamily.optim import Algorithm, DecayMode, OptimizerConfig
+from adafamily.optim import Algorithm, OptimizerConfig
 from adafamily.problems import MLP1, Problem
 from adafamily.tables import emit_table, parse_table_csv
 
@@ -129,6 +129,17 @@ def test_run_config_rejects_nonfinite_factor(factor):
         _quad_config(epochs=10, schedule=((5, factor),))
 
 
+def test_run_config_rejects_scale_that_underflows():
+    # every factor is finite and > 0, but their product reaches 0.0
+    with pytest.raises(ValueError, match=r"epoch 2 must be finite and > 0, got 0.0"):
+        _quad_config(epochs=3, schedule=((1, 1e-200), (2, 1e-200)))
+
+
+def test_run_config_rejects_scale_that_overflows():
+    with pytest.raises(ValueError, match=r"epoch 2 must be finite and > 0, got inf"):
+        _quad_config(epochs=3, schedule=((1, 1e200), (2, 1e200)))
+
+
 def test_run_config_rejects_repeated_seed():
     with pytest.raises(ValueError, match="seed 0 repeats"):
         _quad_config(seeds=(0, 1, 0))
@@ -152,7 +163,6 @@ def test_run_config_dict_roundtrip_through_json():
             algorithm=Algorithm.ADAFAMILY,
             mu=0.75,
             weight_decay=1e-4,
-            decay_mode=DecayMode.DECOUPLED,
         ),
     )
     wire = json.loads(json.dumps(config.to_dict()))
@@ -406,9 +416,9 @@ def test_default_lineup_order_and_modes():
         "AdaFamily(0.75)",
         "AdaFamily(1.0)",
     ]
-    assert lineup[0].decay_mode is DecayMode.COUPLED
+    assert lineup[0].decay_mode == "coupled"
     for config in lineup[1:]:
-        assert config.decay_mode is DecayMode.DECOUPLED
+        assert config.decay_mode == "decoupled"
     for config in lineup:
         assert config.weight_decay == pytest.approx(1e-4)
         assert config.alpha == pytest.approx(1e-3)
@@ -417,7 +427,7 @@ def test_default_lineup_order_and_modes():
 def test_default_lineup_zero_decay_uses_no_decay_mode():
     for config in default_lineup(weight_decay=0.0):
         assert config.weight_decay == 0.0
-        assert config.decay_mode is DecayMode.NONE
+        assert config.decay_mode == "none"
 
 
 def test_sweep_mu_configs_cover_baselines_and_grid():

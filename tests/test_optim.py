@@ -26,7 +26,6 @@ from adafamily.checks import (
 from adafamily.optim import (
     Algorithm,
     BufferMismatchError,
-    DecayMode,
     NonFiniteGradientError,
     OptimizerConfig,
     OptimizerState,
@@ -122,9 +121,7 @@ def test_one_step_adam():
 
 def test_one_step_adam_coupled_decay():
     # lam=0.1, theta0=1, g=1: effective gradient 1.1 enters both moments
-    cfg = OptimizerConfig(
-        algorithm=Algorithm.ADAM, weight_decay=0.1, decay_mode=DecayMode.COUPLED
-    )
+    cfg = OptimizerConfig(algorithm=Algorithm.ADAM, weight_decay=0.1)
     st = init_state(cfg, 1)
     p = step(st, np.array([1.0]), np.array([1.0]), cfg)
     assert p[0] == pytest.approx(1.0 - 1e-3 * 1.1 / (1.1 + 1e-8), rel=1e-12)
@@ -133,9 +130,7 @@ def test_one_step_adam_coupled_decay():
 def test_one_step_adamw_pure_decay():
     # g=0 keeps both moments at zero, so the whole move is the decoupled
     # decay term: theta1 = 1 - alpha*lam*theta0 = 0.9999
-    cfg = OptimizerConfig(
-        algorithm=Algorithm.ADAMW, weight_decay=0.1, decay_mode=DecayMode.DECOUPLED
-    )
+    cfg = OptimizerConfig(algorithm=Algorithm.ADAMW, weight_decay=0.1)
     st = init_state(cfg, 1)
     p = step(st, np.array([1.0]), np.array([0.0]), cfg)
     assert p[0] == 1.0 - 1e-3 * 0.1
@@ -143,9 +138,7 @@ def test_one_step_adamw_pure_decay():
 
 def test_decoupled_decay_uses_pre_update_params():
     # decay must subtract lr*lam*theta_{t-1}, not lr*lam*theta_t
-    cfg = OptimizerConfig(
-        algorithm=Algorithm.ADAMW, weight_decay=0.5, decay_mode=DecayMode.DECOUPLED
-    )
+    cfg = OptimizerConfig(algorithm=Algorithm.ADAMW, weight_decay=0.5)
     st = init_state(cfg, 1)
     p = step(st, np.array([2.0]), np.array([1.0]), cfg)
     grad_move = 1e-3 / (1.0 + 1e-8)
@@ -163,9 +156,7 @@ def test_frozen_three_step_mu025_trajectory():
 
 
 def test_frozen_adam_coupled_trajectory():
-    cfg = OptimizerConfig(
-        algorithm=Algorithm.ADAM, weight_decay=0.01, decay_mode=DecayMode.COUPLED
-    )
+    cfg = OptimizerConfig(algorithm=Algorithm.ADAM, weight_decay=0.01)
     grads = np.ones((3, 1))
     got = trajectory(cfg, grads, np.array([0.5]))
     expected = [0.49900000000995026, 0.49800000027927405, 0.49700000098024627]
@@ -187,7 +178,7 @@ def _random_run(key, steps=60, dim=8):
 @pytest.mark.parametrize("mu", GRID_MUS + [0.1, 0.37, 0.9])
 def test_adafamily_matches_scalar_loop(mu):
     theta0, grads = _random_run(1000 + int(mu * 100))
-    cfg = _af(mu, weight_decay=1e-4, decay_mode=DecayMode.DECOUPLED)
+    cfg = _af(mu, weight_decay=1e-4)
     fast = trajectory(cfg, grads, theta0)
     ref = ref_adafamily_run(mu, grads.tolist(), theta0.tolist(), weight_decay=1e-4)
     assert max_relative_divergence(fast, ref) < 1e-12
@@ -196,10 +187,10 @@ def test_adafamily_matches_scalar_loop(mu):
 @pytest.mark.parametrize(
     "algorithm,oracle,kw",
     [
-        (Algorithm.ADAM, ref_adam_run, dict(weight_decay=1e-4, decay_mode=DecayMode.COUPLED)),
-        (Algorithm.ADAMW, ref_adamw_run, dict(weight_decay=1e-4, decay_mode=DecayMode.DECOUPLED)),
-        (Algorithm.ADABELIEF, ref_adabelief_run, dict(weight_decay=1e-4, decay_mode=DecayMode.DECOUPLED)),
-        (Algorithm.ADAMOMENTUM, ref_adamomentum_run, dict(weight_decay=1e-4, decay_mode=DecayMode.DECOUPLED)),
+        (Algorithm.ADAM, ref_adam_run, dict(weight_decay=1e-4)),
+        (Algorithm.ADAMW, ref_adamw_run, dict(weight_decay=1e-4)),
+        (Algorithm.ADABELIEF, ref_adabelief_run, dict(weight_decay=1e-4)),
+        (Algorithm.ADAMOMENTUM, ref_adamomentum_run, dict(weight_decay=1e-4)),
         (Algorithm.ADAM, ref_adam_run, dict()),
         (Algorithm.ADAMW, ref_adamw_run, dict()),
         (Algorithm.ADABELIEF, ref_adabelief_run, dict()),
@@ -207,7 +198,7 @@ def test_adafamily_matches_scalar_loop(mu):
     ],
 )
 def test_baselines_match_scalar_loops(algorithm, oracle, kw):
-    theta0, grads = _random_run(2000 + len(kw))
+    theta0, grads = _random_run(2002 if kw else 2000)
     cfg = OptimizerConfig(algorithm=algorithm, **kw)
     fast = trajectory(cfg, grads, theta0)
     ref = oracle(grads.tolist(), theta0.tolist(), weight_decay=kw.get("weight_decay", 0.0))
@@ -217,7 +208,7 @@ def test_baselines_match_scalar_loops(algorithm, oracle, kw):
 def test_lr_scale_enters_both_gradient_move_and_decay():
     theta0, grads = _random_run(47, steps=20)
     scales = [1.0] * 7 + [0.5] * 13
-    cfg = _af(0.75, weight_decay=1e-2, decay_mode=DecayMode.DECOUPLED)
+    cfg = _af(0.75, weight_decay=1e-2)
     fast = trajectory(cfg, grads, theta0, lr_scales=scales)
     ref = ref_adafamily_run(
         0.75, grads.tolist(), theta0.tolist(), weight_decay=1e-2, lr_scales=scales
@@ -462,8 +453,8 @@ def test_nonfinite_lr_scale_rejected(scale):
         dict(beta2=float("nan")),
         dict(epsilon=float("nan")),
         dict(epsilon=float("inf")),
-        dict(weight_decay=float("nan"), decay_mode=DecayMode.DECOUPLED),
-        dict(weight_decay=float("inf"), decay_mode=DecayMode.DECOUPLED),
+        dict(weight_decay=float("nan")),
+        dict(weight_decay=float("inf")),
     ],
 )
 def test_config_validation_rejects(kw):
@@ -471,24 +462,35 @@ def test_config_validation_rejects(kw):
         OptimizerConfig(algorithm=Algorithm.ADAFAMILY, **kw)
 
 
-def test_decay_mode_compatibility():
-    with pytest.raises(ValueError):
-        OptimizerConfig(
-            algorithm=Algorithm.ADAM, weight_decay=0.1, decay_mode=DecayMode.DECOUPLED
-        )
-    with pytest.raises(ValueError):
-        OptimizerConfig(
-            algorithm=Algorithm.ADAMW, weight_decay=0.1, decay_mode=DecayMode.COUPLED
-        )
-    with pytest.raises(ValueError):
-        OptimizerConfig(
-            algorithm=Algorithm.ADAFAMILY, weight_decay=0.1, decay_mode=DecayMode.COUPLED
-        )
+def test_decay_mode_follows_algorithm():
+    for algorithm in Algorithm:
+        placement = "coupled" if algorithm is Algorithm.ADAM else "decoupled"
+        assert OptimizerConfig(algorithm=algorithm).decay_mode == "none"
+        assert OptimizerConfig(algorithm=algorithm, weight_decay=0.1).decay_mode == placement
 
 
-def test_decay_mode_required_when_decay_positive():
-    with pytest.raises(ValueError):
-        OptimizerConfig(algorithm=Algorithm.ADAMW, weight_decay=0.1)
+@pytest.mark.parametrize("mode", ["none", "coupled", "decoupled", "l2"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_from_dict_loads_derived_mode_or_own_placement(algorithm, weight_decay, mode):
+    # exactly the stored modes a config with an explicit mode field accepted:
+    # the algorithm's placement, and "none" when there is no decay
+    placement = "coupled" if algorithm is Algorithm.ADAM else "decoupled"
+    loads = mode == placement or (mode == "none" and weight_decay == 0.0)
+    built = OptimizerConfig(algorithm=algorithm, mu=0.25, weight_decay=weight_decay)
+    stored = dict(built.to_dict(), decay_mode=mode)
+    if not loads:
+        with pytest.raises(ValueError, match=f"decay_mode '{mode}'.*decays '{built.decay_mode}'"):
+            OptimizerConfig.from_dict(stored)
+        return
+    loaded = OptimizerConfig.from_dict(stored)
+    keyless = {k: v for k, v in stored.items() if k != "decay_mode"}
+    assert loaded == built == OptimizerConfig.from_dict(keyless)
+    assert loaded.to_dict() == built.to_dict()
+    theta0, grads = _random_run(2200, steps=20)
+    a = np.array(trajectory(loaded, grads, theta0))
+    b = np.array(trajectory(OptimizerConfig.from_dict(keyless), grads, theta0))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_labels():
@@ -502,11 +504,9 @@ def test_labels():
 
 
 def test_config_dict_roundtrip():
-    cfg = _af(0.75, alpha=2e-3, weight_decay=1e-4, decay_mode=DecayMode.DECOUPLED)
+    cfg = _af(0.75, alpha=2e-3, weight_decay=1e-4)
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
-    cfg = OptimizerConfig(
-        algorithm=Algorithm.ADAM, weight_decay=1e-4, decay_mode=DecayMode.COUPLED
-    )
+    cfg = OptimizerConfig(algorithm=Algorithm.ADAM, weight_decay=1e-4)
     assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
 
 

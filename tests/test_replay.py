@@ -6,17 +6,25 @@ every field but elapsed_seconds, so any change to the arithmetic of the
 optimizer, the problems or the data pipeline shows up here.  Replayed
 alone, each config's lockstep stack holds one algorithm; replayed all
 together, the stacks mix every algorithm of a problem, and must still
-give the same payloads.
+give the same payloads.  Running tools/regen_fixtures.py must also write
+every committed fixture back byte for byte, elapsed_seconds aside, which
+pins the file formats as well as the numbers.
 """
 
 import json
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from adafamily.harness import load_results, run_config, run_configs
 
-SMOKE = sorted((Path(__file__).resolve().parent.parent / "fixtures" / "smoke").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+SMOKE = sorted((FIXTURES / "smoke").glob("*.json"))
 
 
 def _payloads(results):
@@ -46,5 +54,40 @@ def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
         path.stem
         for path, (_, committed), results in zip(SMOKE, loaded, replayed)
         if _payloads(results) != _payloads(committed)
+    ]
+    assert differing == []
+
+
+def _fixture_files(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _mask_elapsed(name, data):
+    if not name.startswith("smoke/"):
+        return data
+    return re.sub(rb'("elapsed_seconds": )[^,\n]+', rb"\1<elapsed>", data)
+
+
+def test_regenerated_fixtures_match_committed_bytes(tmp_path):
+    (tmp_path / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "regen_fixtures.py", tmp_path / "tools")
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "regen_fixtures.py")],
+        check=True,
+        capture_output=True,
+        cwd=tmp_path,
+    )
+    committed = _fixture_files(FIXTURES)
+    regenerated = _fixture_files(tmp_path / "fixtures")
+    assert sorted(regenerated) == sorted(committed)
+    differing = [
+        name
+        for name, data in committed.items()
+        if _mask_elapsed(name, regenerated[name]) != _mask_elapsed(name, data)
     ]
     assert differing == []
