@@ -1,23 +1,14 @@
 """A reproducible data pipeline, end to end.
 
-Gaussian blob generation, CSV loading, stratified splitting, and
-shuffled mini-batching are all driven by one counter-based RNG, so every
-stage is a pure function of its seeds.  This script shows each stage and
+Gaussian blob generation, stratified splitting, and shuffled
+mini-batching are all driven by one counter-based RNG, so every stage is
+a pure function of its seeds.  This script shows each stage and
 proves the replay property by rebuilding everything twice.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from adafamily.data import (
-    BatchPlan,
-    batches,
-    gen_gaussian_blobs,
-    load_csv_dataset,
-    split,
-)
+from adafamily.data import BatchPlan, batches, gen_gaussian_blobs, split
 
 
 def main():
@@ -27,19 +18,6 @@ def main():
     print(f"{data.n} rows, {data.num_features} features, {data.num_classes} classes")
     print(f"bitwise replay: {np.array_equal(data.features, again.features)}")
     print(f"class counts:   {np.bincount(data.labels).tolist()}")
-    print()
-
-    print("=== round-trip through CSV ===")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "blobs.csv"
-        rows = [
-            ",".join([str(label)] + [repr(float(x)) for x in feats])
-            for label, feats in zip(data.labels, data.features)
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        loaded = load_csv_dataset(path, num_classes=3)
-        print(f"features identical after round-trip: "
-              f"{np.array_equal(loaded.features, data.features)}")
     print()
 
     print("=== stratified split ===")

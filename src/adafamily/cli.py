@@ -25,7 +25,7 @@ from .harness import (
     RunConfig,
     aggregate_result_files,
     problem_names,
-    run_config,
+    run_configs,
     run_grid,
     save_results,
     sweep_mu_configs,
@@ -80,7 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_run_config_file(args.config)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_config(config)
+    results = run_configs([config])[0]
     out_path = out_dir / _results_filename(config)
     save_results(out_path, config, results)
     divergent = sum(r.diverged for r in results)

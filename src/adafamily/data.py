@@ -1,19 +1,18 @@
-"""Deterministic dataset generation, CSV loading, splitting, batching.
+"""Deterministic dataset generation, splitting, batching.
 
 All randomness flows through :mod:`adafamily.rng`, so every dataset,
 split, and epoch shuffle is bitwise reproducible from its integer seeds
-on any platform.  Dataset and Batch are plain immutable containers; the
-factory functions (`gen_gaussian_blobs`, `load_csv_dataset`) enforce the
-full dataset invariants, while `split` may legitimately return empty or
-class-incomplete subsets (a test fraction of 0 is allowed), so the
-containers themselves only check structural consistency.
+(within the scope of ``docs/determinism.md``).  Dataset and Batch are
+plain immutable containers that check only structural consistency:
+`gen_gaussian_blobs` returns finite features with every class present,
+while `split` may legitimately return empty or class-incomplete subsets
+(a test fraction of 0 is allowed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,12 +51,11 @@ class Batch:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable labeled dataset with a fixed class count and a name."""
+    """Immutable labeled dataset with a fixed class count."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    name: str
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -76,22 +74,6 @@ class Dataset:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-
-def _validate_full_dataset(ds: Dataset) -> Dataset:
-    # factory-level invariants: generated or loaded datasets must be usable
-    # for stratified splitting and classification
-    if ds.num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {ds.num_classes}")
-    if ds.n < ds.num_classes:
-        raise ValueError(f"need at least num_classes={ds.num_classes} rows, got {ds.n}")
-    if not np.all(np.isfinite(ds.features)):
-        raise ValueError("features contain non-finite values")
-    counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ValueError(f"class {int(missing[0])} has no examples")
-    return ds
 
 
 @dataclass(frozen=True)
@@ -143,93 +125,19 @@ def gen_gaussian_blobs(
     noise = rng.normals(rng.derive_key(seed, 1), num_classes * n_per_class * dim)
     noise = noise.reshape(num_classes, n_per_class, dim)
     features = (means[:, None, :] + spread * noise).reshape(-1, dim)
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite values")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
-    ds = Dataset(features=features, labels=labels, num_classes=num_classes, name="blobs")
-    return _validate_full_dataset(ds)
-
-
-class CsvFormatError(ValueError):
-    """A dataset file failed to parse; the message names the 1-based line."""
-
-
-def load_csv_dataset(
-    path: str | Path,
-    num_classes: int,
-    has_header: bool = False,
-    scale_features: bool = False,
-) -> Dataset:
-    """Load `label,feat1,...,featP` rows; row order is preserved.
-
-    With ``scale_features`` every feature is divided by the single largest
-    feature value in the file (which must be positive), mapping
-    non-negative data onto [0, 1].
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    width: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected a label and at least one feature"
-                )
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: label {parts[0]!r} is not an integer"
-                ) from None
-            if not 0 <= label < num_classes:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: label {label} outside [0, {num_classes})"
-                )
-            try:
-                feats = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise CsvFormatError(f"{path}:{lineno}: non-numeric feature value") from None
-            if width is None:
-                width = len(feats)
-            elif len(feats) != width:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: ragged row, expected {width} features, "
-                    f"got {len(feats)}"
-                )
-            labels.append(label)
-            rows.append(feats)
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
-    if scale_features:
-        peak = float(features.max(initial=-math.inf))
-        if peak <= 0.0:
-            raise CsvFormatError(
-                f"{path}: cannot scale, maximum feature value {peak} is not positive"
-            )
-        features = features / peak
-    ds = Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        num_classes=num_classes,
-        name=path.stem,
-    )
-    return _validate_full_dataset(ds)
+    return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified seed-deterministic split into (train, test).
 
-    Per class, floor(test_fraction * count) examples go to the test side;
-    both subsets keep the original row order.  The halves are disjoint and
-    together exhaust the dataset.
+    Per class, floor(test_fraction * count) examples go to the test side,
+    so a fraction of 0 gives an empty test set; both subsets keep the
+    original row order.  The halves are disjoint and together exhaust the
+    dataset.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError(f"test_fraction must lie in [0, 1], got {test_fraction}")
@@ -239,14 +147,13 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
         take = math.floor(test_fraction * idx.size + 1e-12)
         perm = rng.permutation(rng.derive_key(seed, k), idx.size)
         test_mask[idx[perm[:take]]] = True
-    def _subset(mask: np.ndarray, tag: str) -> Dataset:
+    def _subset(mask: np.ndarray) -> Dataset:
         return Dataset(
             features=dataset.features[mask].copy(),
             labels=dataset.labels[mask].copy(),
             num_classes=dataset.num_classes,
-            name=f"{dataset.name}-{tag}",
         )
-    return _subset(~test_mask, "train"), _subset(test_mask, "test")
+    return _subset(~test_mask), _subset(test_mask)
 
 
 def batches(

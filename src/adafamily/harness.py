@@ -489,16 +489,6 @@ def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
     return results
 
 
-def run_single(config: RunConfig, seed: int) -> RunResult:
-    """Train one run; deterministic given (config, seed) except elapsed time."""
-    return run_configs([dataclasses.replace(config, seeds=(seed,))])[0][0]
-
-
-def run_config(config: RunConfig) -> list[RunResult]:
-    """All seeds of one config, in seed order."""
-    return run_configs([config])[0]
-
-
 def default_lineup(
     alpha: float = 1e-3,
     weight_decay: float = DESK_WEIGHT_DECAY,
@@ -670,7 +660,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
-    """Read a results file; its runs must be exactly its config's seeds."""
+    """Read a results file; its runs must be exactly its config's seeds.
+
+    Each run's `final_metric` must be null when it diverged, else its last
+    `eval_metric` entry, a finite number.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"results file not found: {path}")
@@ -695,6 +689,20 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
         raise ValueError(
             f"{path}: result seeds {seeds} are not the config's seeds {list(config.seeds)}"
         )
+    for r in results:
+        final = r.final_metric
+        if r.diverged:
+            consistent = final is None
+        else:
+            consistent = (
+                isinstance(final, (int, float))
+                and not isinstance(final, bool)
+                and math.isfinite(final)
+                and r.eval_metric[-1:] == [final]
+            )
+        if not consistent:
+            expected = "null, the run diverged" if r.diverged else "its last eval_metric"
+            raise ValueError(f"{path}: seed {r.seed}: final_metric {final!r} is not {expected}")
     return config, results
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: run, sweep-mu, table, check."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ from adafamily.cli import (
 from adafamily.harness import Metric, RunConfig, load_results
 from adafamily.optim import Algorithm, OptimizerConfig
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def _small_config(**overrides):
@@ -176,6 +178,19 @@ def test_table_malformed_file_names_path(tmp_path, capsys):
     bad.write_text('{"version": 1}')
     assert main(["table", str(bad)]) == 1
     assert "mangled.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("final_metric", [None, 3.0])
+def test_table_refuses_final_metric_other_than_last_eval(tmp_path, capsys, final_metric):
+    payload = json.loads((FIXTURES / "smoke" / "blobs-mlp1--adam.json").read_text())
+    run = payload["results"][1]
+    assert not run["diverged"] and run["eval_metric"][-1] != final_metric
+    run["final_metric"] = final_metric
+    path = tmp_path / "blobs-mlp1--adam.json"
+    path.write_text(json.dumps(payload))
+    assert main(["table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"seed {run['seed']}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +354,12 @@ def test_check_unknown_filter_fails(capsys):
 
 
 def test_console_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "adafamily", "check", "--filter", "state"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

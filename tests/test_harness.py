@@ -26,10 +26,8 @@ from adafamily.harness import (
     lr_scale_sequence,
     problem_names,
     register_problem,
-    run_config,
     run_configs,
     run_grid,
-    run_single,
     save_results,
     sweep_mu_configs,
 )
@@ -208,41 +206,47 @@ def test_builtin_setups_have_expected_shape():
 
 
 # ---------------------------------------------------------------------------
-# run_single
+# single runs
+
+
+def _only_run(config):
+    """The one run of a one-seed config."""
+    [[result]] = run_configs([config])
+    return result
 
 
 def test_analytic_run_takes_one_step_per_epoch():
-    result = run_single(_quad_config(epochs=1), seed=0)
+    result = _only_run(_quad_config(epochs=1))
     assert len(result.train_loss) == 1
-    longer = run_single(_quad_config(epochs=4), seed=0)
+    longer = _only_run(_quad_config(epochs=4))
     assert len(longer.train_loss) == 4
     # no batching: the first epoch's loss is identical regardless of horizon
     assert longer.train_loss[0] == result.train_loss[0]
 
 
 def test_quadratic_run_decreases_loss():
-    result = run_single(_quad_config(epochs=50), seed=0)
+    result = _only_run(_quad_config(epochs=50))
     assert result.train_loss[-1] < result.train_loss[0]
     assert not result.diverged
     assert result.final_metric == result.eval_metric[-1]
 
 
-def test_run_single_is_deterministic_excluding_elapsed():
-    a = run_single(_blobs_config(epochs=3), seed=1)
-    b = run_single(_blobs_config(epochs=3), seed=1)
+def test_single_run_is_deterministic_excluding_elapsed():
+    a = _only_run(_blobs_config(epochs=3, seeds=(1,)))
+    b = _only_run(_blobs_config(epochs=3, seeds=(1,)))
     assert a.train_loss == b.train_loss
     assert a.eval_metric == b.eval_metric
     assert a.final_metric == b.final_metric
 
 
-def test_run_single_seed_changes_trajectory():
-    a = run_single(_blobs_config(epochs=2), seed=0)
-    b = run_single(_blobs_config(epochs=2), seed=1)
+def test_run_seed_changes_trajectory():
+    a = _only_run(_blobs_config(epochs=2))
+    b = _only_run(_blobs_config(epochs=2, seeds=(1,)))
     assert a.train_loss != b.train_loss
 
 
 def test_blobs_run_improves_top1_error():
-    result = run_single(_blobs_config(epochs=10), seed=0)
+    result = _only_run(_blobs_config(epochs=10))
     assert result.eval_metric[-1] < result.eval_metric[0]
     # Top-1 error is a percentage
     assert 0.0 <= result.eval_metric[-1] <= 100.0
@@ -250,7 +254,7 @@ def test_blobs_run_improves_top1_error():
 
 def test_final_loss_metric_on_dataset_uses_test_split():
     config = _blobs_config(metric=Metric.FINAL_LOSS, epochs=2)
-    result = run_single(config, seed=0)
+    result = _only_run(config)
     setup = build_problem("blobs-logreg")
     assert setup.test.n < setup.train.n
     assert math.isfinite(result.final_metric)
@@ -258,25 +262,25 @@ def test_final_loss_metric_on_dataset_uses_test_split():
 
 def test_top1_on_analytic_problem_rejected():
     with pytest.raises(ValueError, match="[Tt]op-?1"):
-        run_single(_quad_config(metric=Metric.TOP1_ERROR), seed=0)
+        _only_run(_quad_config(metric=Metric.TOP1_ERROR))
 
 
 def test_dataset_problem_requires_batch_plan():
     with pytest.raises(ValueError, match="batch"):
-        run_single(_blobs_config(batch_plan=None), seed=0)
+        _only_run(_blobs_config(batch_plan=None))
 
 
 def test_analytic_problem_rejects_batch_plan():
     plan = BatchPlan(batch_size=8, shuffle_seed=1)
     with pytest.raises(ValueError, match="batch"):
-        run_single(_quad_config(batch_plan=plan), seed=0)
+        _only_run(_quad_config(batch_plan=plan))
 
 
 def test_schedule_scales_realized_updates():
     # train_loss logs pre-step losses, so the factor-0.5 milestone at epoch 1
     # first shows in the post-step eval metric of that epoch
-    flat = run_single(_quad_config(epochs=2), seed=0)
-    stepped = run_single(_quad_config(epochs=2, schedule=((1, 0.5),)), seed=0)
+    flat = _only_run(_quad_config(epochs=2))
+    stepped = _only_run(_quad_config(epochs=2, schedule=((1, 0.5),)))
     assert flat.eval_metric[0] == stepped.eval_metric[0]
     assert flat.eval_metric[1] != stepped.eval_metric[1]
 
@@ -322,7 +326,7 @@ def _assert_aborts_in_epoch(name, finite_loss, epoch):
     _register_cliff(name, cliff=2.5e-3, finite_loss=finite_loss)
     try:
         config = _quad_config(problem=name, epochs=10)
-        result = run_single(config, seed=0)
+        result = _only_run(config)
         assert result.diverged
         assert result.divergence_epoch == epoch
         assert len(result.train_loss) == epoch  # aborted, no post-divergence epochs
@@ -536,7 +540,7 @@ def test_run_grid_rejects_empty():
 
 
 def test_run_config_runs_all_seeds_in_order():
-    results = run_config(_quad_config(epochs=2, seeds=(2, 0, 1)))
+    results = run_configs([_quad_config(epochs=2, seeds=(2, 0, 1))])[0]
     assert [r.seed for r in results] == [2, 0, 1]
 
 
@@ -546,7 +550,7 @@ def test_run_config_runs_all_seeds_in_order():
 
 def test_save_load_results_roundtrip(tmp_path):
     config = _blobs_config(epochs=2, seeds=(0, 1))
-    results = run_config(config)
+    results = run_configs([config])[0]
     path = tmp_path / "cell.json"
     save_results(path, config, results)
     loaded_config, loaded_results = load_results(path)
@@ -563,7 +567,7 @@ def test_save_load_results_roundtrip(tmp_path):
 def test_saved_results_are_versioned_json(tmp_path):
     config = _quad_config(epochs=1)
     path = tmp_path / "cell.json"
-    save_results(path, config, run_config(config))
+    save_results(path, config, run_configs([config])[0])
     payload = json.loads(path.read_text())
     assert payload["version"] == 1
     assert "config" in payload and "results" in payload
@@ -585,7 +589,7 @@ def test_load_results_rejects_bad_json(tmp_path):
 def test_load_results_rejects_wrong_version(tmp_path):
     config = _quad_config(epochs=1)
     path = tmp_path / "cell.json"
-    save_results(path, config, run_config(config))
+    save_results(path, config, run_configs([config])[0])
     payload = json.loads(path.read_text())
     payload["version"] = 999
     path.write_text(json.dumps(payload))
@@ -600,12 +604,40 @@ def test_load_results_rejects_missing_fields(tmp_path):
         load_results(path)
 
 
+@pytest.mark.parametrize(
+    "diverged, eval_metric, final_metric",
+    [
+        (True, [1.0], 1.0),
+        (False, [1.0], None),
+        (False, [1.0, 2.0], 1.0),
+        (False, [], 1.0),
+        (False, [math.inf], math.inf),
+        (False, [1.0], "1.0"),
+        (False, [1.0], True),
+    ],
+    ids=["diverged", "null", "not-last", "no-eval", "inf", "string", "bool"],
+)
+def test_load_results_refuses_inconsistent_final_metric(
+    tmp_path, diverged, eval_metric, final_metric
+):
+    config = _quad_config(epochs=2, seeds=(0, 1))
+    path = tmp_path / "cell.json"
+    save_results(path, config, run_configs([config])[0])
+    payload = json.loads(path.read_text())
+    payload["results"][1].update(
+        diverged=diverged, eval_metric=eval_metric, final_metric=final_metric
+    )
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"cell.json: seed 1: final_metric"):
+        load_results(path)
+
+
 def test_aggregate_result_files_merges_seed_batches(tmp_path):
     config_a = _quad_config(epochs=2, seeds=(0,))
     config_b = _quad_config(epochs=2, seeds=(1,))
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    save_results(path_a, config_a, run_config(config_a))
-    save_results(path_b, config_b, run_config(config_b))
+    save_results(path_a, config_a, run_configs([config_a])[0])
+    save_results(path_b, config_b, run_configs([config_b])[0])
     merged = aggregate_result_files([path_a, path_b])
     assert len(merged) == 1
     assert merged[0].seeds_per_problem["quadratic"] == 2
@@ -614,10 +646,10 @@ def test_aggregate_result_files_merges_seed_batches(tmp_path):
 def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
     config = _quad_config(epochs=1, seeds=(0, 1))
     path = tmp_path / "cell.json"
-    save_results(path, config, run_config(config)[:1])
+    save_results(path, config, run_configs([config])[0][:1])
     with pytest.raises(ValueError, match=r"cell.json: result seeds \[0\] are not the config's"):
         load_results(path)
-    save_results(path, dataclasses.replace(config, seeds=(0, 2)), run_config(config))
+    save_results(path, dataclasses.replace(config, seeds=(0, 2)), run_configs([config])[0])
     with pytest.raises(ValueError, match=r"seeds \[0, 1\] are not the config's seeds \[0, 2\]"):
         load_results(path)
 
@@ -653,8 +685,8 @@ def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
 def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
     config = _quad_config(epochs=2, seeds=(0, 1))
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-    save_results(path_a, config, run_config(config))
-    save_results(path_b, dataclasses.replace(config, seeds=(1,)), run_config(config)[1:])
+    save_results(path_a, config, run_configs([config])[0])
+    save_results(path_b, dataclasses.replace(config, seeds=(1,)), run_configs([config])[0][1:])
     with pytest.raises(ValueError, match="seed 1 of Adam on quadratic") as info:
         aggregate_result_files([path_a, path_b])
     assert "a.json" in str(info.value) and "b.json" in str(info.value)
@@ -666,8 +698,8 @@ def test_aggregate_result_files_rejects_configs_differing_beyond_seeds(tmp_path)
     short = _quad_config(epochs=2, seeds=(0,))
     long = _quad_config(epochs=50, seeds=(1,))
     path_a, path_b = tmp_path / "short.json", tmp_path / "long.json"
-    save_results(path_a, short, run_config(short))
-    save_results(path_b, long, run_config(long))
+    save_results(path_a, short, run_configs([short])[0])
+    save_results(path_b, long, run_configs([long])[0])
     with pytest.raises(ValueError, match="Adam on quadratic differs") as info:
         aggregate_result_files([path_a, path_b])
     assert "short.json" in str(info.value) and "long.json" in str(info.value)
@@ -690,7 +722,7 @@ def test_save_results_leaves_no_temporary_file(tmp_path):
     config = _quad_config(epochs=2)
     path = tmp_path / "r.json"
     path.write_text("old")
-    save_results(path, config, run_config(config))
+    save_results(path, config, run_configs([config])[0])
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
     assert load_results(path)[0] == config
 
@@ -769,7 +801,7 @@ def _blobs_cliff(name, finite_loss):
     )
 
 
-def test_run_grid_payloads_equal_run_single_for_every_problem_kind():
+def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind():
     names = ("cliff-nan-loss", "cliff-nan-grad")
     _blobs_cliff(names[0], finite_loss=False)
     _blobs_cliff(names[1], finite_loss=True)
@@ -803,7 +835,8 @@ def test_run_grid_payloads_equal_run_single_for_every_problem_kind():
             raw.setdefault(key, []).extend(results)
             stacked.setdefault(key, []).extend(_payload(r) for r in results)
             for seed in config.seeds:
-                alone.setdefault(key, []).append(_payload(run_single(config, seed)))
+                one = dataclasses.replace(config, seeds=(seed,))
+                alone.setdefault(key, []).append(_payload(_only_run(one)))
         assert stacked == alone
         for name in names:
             fast_runs = raw[("Adam", name)][2:]

@@ -8,7 +8,8 @@ alone, each config's lockstep stack holds one algorithm; replayed all
 together, the stacks mix every algorithm of a problem, and must still
 give the same payloads.  Running tools/regen_fixtures.py must also write
 every committed fixture back byte for byte, elapsed_seconds aside, which
-pins the file formats as well as the numbers.
+pins the file formats as well as the numbers, and so must `adafamily run`
+on a smoke config.
 """
 
 import json
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from adafamily.harness import load_results, run_config, run_configs
+from adafamily.cli import main, save_run_config_file
+from adafamily.harness import load_results, run_configs
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -44,7 +46,7 @@ def test_smoke_fixtures_present():
 @pytest.mark.parametrize("path", SMOKE, ids=[p.stem for p in SMOKE])
 def test_smoke_fixture_replays_bitwise(path):
     config, committed = load_results(path)
-    assert _payloads(run_config(config)) == _payloads(committed)
+    assert _payloads(run_configs([config])[0]) == _payloads(committed)
 
 
 def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
@@ -91,3 +93,15 @@ def test_regenerated_fixtures_match_committed_bytes(tmp_path):
         if _mask_elapsed(name, regenerated[name]) != _mask_elapsed(name, data)
     ]
     assert differing == []
+
+
+def test_cli_run_rewrites_a_smoke_fixture(tmp_path, capsys):
+    path = FIXTURES / "smoke" / "blobs-mlp1--adafamily-0.5.json"
+    config_path = tmp_path / "run.json"
+    save_run_config_file(config_path, load_results(path)[0])
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert "wrote" in capsys.readouterr().out
+    name = f"smoke/{path.name}"
+    written = (out_dir / path.name).read_bytes()
+    assert _mask_elapsed(name, written) == _mask_elapsed(name, path.read_bytes())

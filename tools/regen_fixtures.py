@@ -5,7 +5,6 @@ Run from the repository root:
     python3 tools/regen_fixtures.py
 
 Outputs:
-  fixtures/example_dataset.csv   3-row CSV dataset used by docs and tests
   fixtures/quadratic_run.json    example run-config file for `adafamily run`
   fixtures/smoke/*.json          results of a small 9-algorithm grid on
                                  blobs-logreg and on blobs-mlp1
@@ -37,7 +36,7 @@ from adafamily.harness import (
     aggregate_result_files,
     build_problem,
     default_lineup,
-    run_config,
+    run_configs,
     save_results,
 )
 from adafamily.optim import Algorithm, OptimizerConfig, init_state, step
@@ -48,12 +47,6 @@ FIXTURES = ROOT / "fixtures"
 SMOKE_PROBLEMS = ("blobs-logreg", "blobs-mlp1")
 SMOKE_SEEDS = (0, 1, 2)
 SMOKE_EPOCHS = 5
-
-
-def write_example_dataset() -> None:
-    (FIXTURES / "example_dataset.csv").write_text(
-        "0,1.5,-2.0\n1,0.25,3.0\n0,-1.0,0.5\n"
-    )
 
 
 def write_example_config() -> None:
@@ -86,7 +79,7 @@ def write_smoke_results() -> list[Path]:
                 metric=Metric.TOP1_ERROR,
             )
             path = smoke / _results_filename(config)
-            save_results(path, config, run_config(config))
+            save_results(path, config, run_configs([config])[0])
             paths.append(path)
     return paths
 
@@ -159,7 +152,6 @@ def write_reference_runs() -> None:
 
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
-    write_example_dataset()
     write_example_config()
     paths = write_smoke_results()
     write_golden_table(paths)
