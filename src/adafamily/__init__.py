@@ -10,7 +10,6 @@ from .data import (
 )
 from .harness import (
     AggregateResult,
-    Metric,
     ProblemSetup,
     RunConfig,
     RunResult,
@@ -27,9 +26,7 @@ from .optim import (
     NonFiniteGradientError,
     OptimizerConfig,
     OptimizerState,
-    dump_state,
     init_state,
-    load_state,
     normalization_factor,
     step,
 )
@@ -43,7 +40,7 @@ from .problems import (
     relative_error,
     spd_quadratic,
 )
-from .tables import emit_table, parse_table_csv
+from .tables import emit_table
 
 __all__ = [
     "Algorithm",
@@ -54,7 +51,6 @@ __all__ = [
     "Dataset",
     "LogisticRegression",
     "MLP1",
-    "Metric",
     "NonFiniteGradientError",
     "OptimizerConfig",
     "OptimizerState",
@@ -67,15 +63,12 @@ __all__ = [
     "batches",
     "build_problem",
     "default_lineup",
-    "dump_state",
     "emit_table",
     "finite_diff_grad",
     "gen_gaussian_blobs",
     "init_state",
-    "load_state",
     "lr_scale_sequence",
     "normalization_factor",
-    "parse_table_csv",
     "register_problem",
     "relative_error",
     "run_grid",

@@ -80,10 +80,9 @@ def ref_adam_run(
     beta2: float = 0.999,
     eps: float = 1e-8,
     weight_decay: float = 0.0,
-    coupled: bool = True,
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
-    """Scalar-loop Adam with optional coupled (L2-style) decay."""
+    """Scalar-loop Adam with coupled (L2-style) decay."""
     d = len(theta0)
     m = [0.0] * d
     v = [0.0] * d
@@ -93,7 +92,7 @@ def ref_adam_run(
         eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
         new = [0.0] * d
         for i in range(d):
-            gi = g[i] + weight_decay * theta[i] if coupled and weight_decay > 0.0 else g[i]
+            gi = g[i] + weight_decay * theta[i] if weight_decay > 0.0 else g[i]
             m[i] = beta1 * m[i] + (1.0 - beta1) * gi
             v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi
             m_hat = m[i] / (1.0 - beta1**t)

@@ -82,13 +82,13 @@ class BatchPlan:
 
     batch_size: int
     shuffle_seed: int
-    drop_last: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.shuffle_seed < 2**64:
-            raise ValueError("shuffle_seed must be an unsigned 64-bit integer")
+        s = self.shuffle_seed
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2**64:
+            raise ValueError(f"shuffle_seed must be an integer in [0, 2**64), got {s!r}")
 
 
 def class_means(num_classes: int, dim: int) -> np.ndarray:
@@ -161,11 +161,11 @@ def batches(
 ) -> Iterator[Batch]:
     """Mini-batches for one epoch; order fixed by (shuffle_seed, epoch_index).
 
-    Every example appears exactly once; a final short batch is kept unless
-    the plan says drop_last.  Given a sequence of R plans that share
-    batch_size and drop_last, yields stacks of R batches whose row r is
-    the batch plan r gives on its own; each distinct shuffle seed's
-    permutation is drawn once, and each stack is one gather.
+    Every example appears exactly once; a final short batch is kept.
+    Given a sequence of R plans that share batch_size, yields stacks of R
+    batches whose row r is the batch plan r gives on its own; each
+    distinct shuffle seed's permutation is drawn once, and each stack is
+    one gather.
     """
     plans = [plan] if isinstance(plan, BatchPlan) else list(plan)
     if epoch_index < 0:
@@ -174,9 +174,9 @@ def batches(
         raise ValueError("cannot batch an empty dataset")
     if not plans:
         raise ValueError("need at least one batch plan")
-    size, drop_last = plans[0].batch_size, plans[0].drop_last
-    if any((p.batch_size, p.drop_last) != (size, drop_last) for p in plans):
-        raise ValueError("stacked batch plans must share batch_size and drop_last")
+    size = plans[0].batch_size
+    if any(p.batch_size != size for p in plans):
+        raise ValueError("stacked batch plans must share batch_size")
     if size > dataset.n:
         raise ValueError(f"batch_size {size} exceeds dataset size {dataset.n}")
     perms: dict[int, np.ndarray] = {}
@@ -189,6 +189,4 @@ def batches(
         order = order[0]
     for start in range(0, dataset.n, size):
         sel = order[..., start : start + size]
-        if sel.shape[-1] < size and drop_last:
-            return
         yield Batch(features=dataset.features[sel], labels=dataset.labels[sel])

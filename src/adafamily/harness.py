@@ -17,7 +17,6 @@ decay 1e-4 (coupled for Adam, decoupled elsewhere).
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import logging
 import math
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .data import Batch, BatchPlan, Dataset, batches, gen_gaussian_blobs, split
+from .data import BatchPlan, Dataset, batches, gen_gaussian_blobs, split
 from .optim import (
     Algorithm,
     NonFiniteGradientError,
@@ -68,18 +67,6 @@ MLP_BLOBS_SPREAD = 0.45
 BLOBS_SPLIT_FRACTION = 0.2
 BLOBS_SPLIT_SEED = 331
 MLP_HIDDEN = 16
-
-
-class Metric(enum.Enum):
-    """What to evaluate each epoch.
-
-    TOP1_ERROR is the percentage (0..100) of test examples whose argmax
-    prediction is wrong; FINAL_LOSS is the raw objective value (test-set
-    loss for dataset problems, the plain loss for analytic ones).
-    """
-
-    TOP1_ERROR = "top1_error"
-    FINAL_LOSS = "final_loss"
 
 
 @dataclass(frozen=True)
@@ -168,13 +155,15 @@ class RunConfig:
     batch_plan: BatchPlan | None = None
     schedule: tuple[tuple[int, float], ...] = ()
     seeds: tuple[int, ...] = (0,)
-    metric: Metric = Metric.FINAL_LOSS
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for s in self.seeds:
+            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2**64:
+                raise ValueError(f"seeds must be integers in [0, 2**64), got {s!r}")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ValueError(f"seed {repeated[0]} repeats in seeds {list(self.seeds)}")
@@ -193,6 +182,13 @@ class RunConfig:
                     f"lr scale at epoch {epoch} must be finite and > 0, got {scale}"
                 )
 
+    @property
+    def metric(self) -> str:
+        """What each epoch evaluates: 'top1_error', the percentage of wrong
+        argmax predictions, for a dataset problem (one with a batch plan),
+        else 'final_loss', the objective."""
+        return "final_loss" if self.batch_plan is None else "top1_error"
+
     def to_dict(self) -> dict:
         return {
             "problem": self.problem,
@@ -203,31 +199,41 @@ class RunConfig:
             else {
                 "batch_size": self.batch_plan.batch_size,
                 "shuffle_seed": self.batch_plan.shuffle_seed,
-                "drop_last": self.batch_plan.drop_last,
+                "drop_last": False,
             },
             "schedule": [list(pair) for pair in self.schedule],
             "seeds": list(self.seeds),
-            "metric": self.metric.value,
+            "metric": self.metric,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Inverse of to_dict.  A stored metric (absent reads as 'final_loss')
+        must be the derived one, and a stored drop_last must be false."""
         plan = d.get("batch_plan")
-        return cls(
+        config = cls(
             problem=d["problem"],
             optimizer=OptimizerConfig.from_dict(d["optimizer"]),
             epochs=d["epochs"],
             batch_plan=None
             if plan is None
-            else BatchPlan(
-                batch_size=plan["batch_size"],
-                shuffle_seed=plan["shuffle_seed"],
-                drop_last=plan.get("drop_last", False),
-            ),
+            else BatchPlan(batch_size=plan["batch_size"], shuffle_seed=plan["shuffle_seed"]),
             schedule=tuple((int(m), float(f)) for m, f in d.get("schedule", [])),
             seeds=tuple(d.get("seeds", [0])),
-            metric=Metric(d.get("metric", "final_loss")),
         )
+        if plan is not None and plan.get("drop_last", False):
+            raise ValueError(
+                f"drop_last {plan['drop_last']!r} is not false; every epoch keeps "
+                "its short last batch"
+            )
+        stored = d.get("metric", "final_loss")
+        if stored != config.metric:
+            given = f"metric {stored!r}" if "metric" in d else "no metric (read as 'final_loss')"
+            raise ValueError(
+                f"{given} does not fit a config {'without' if plan is None else 'with'} "
+                f"a batch_plan, which evaluates {config.metric!r}"
+            )
+        return config
 
 
 @dataclass
@@ -290,25 +296,18 @@ def lr_scale_sequence(
     return out
 
 
-def _evaluate(setup: ProblemSetup, params: np.ndarray, metric: Metric) -> np.ndarray:
-    """The metric of every row of an (R, dim) parameter stack, in one call."""
+def _evaluate(setup: ProblemSetup, params: np.ndarray) -> np.ndarray:
+    """The metric of every row of an (R, dim) parameter stack, in one call:
+    top-1 error on the test split (on train when that is empty or absent),
+    or the loss of an analytic problem."""
+    if not setup.has_data:
+        return setup.problem.loss(params)
     data = setup.test if setup.test is not None and setup.test.n else setup.train
-    if metric is Metric.TOP1_ERROR:
-        predicted = setup.problem.predict(params, data.features)
-        return 100.0 * np.mean(predicted != data.labels, axis=-1)
-    if setup.has_data:
-        return setup.problem.loss(
-            params, Batch(features=data.features, labels=data.labels)
-        )
-    return setup.problem.loss(params)
+    predicted = setup.problem.predict(params, data.features)
+    return 100.0 * np.mean(predicted != data.labels, axis=-1)
 
 
 def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
-    if config.metric is Metric.TOP1_ERROR and not setup.has_data:
-        raise ValueError(
-            f"metric {config.metric.value} needs a dataset problem, "
-            f"{config.problem} is analytic"
-        )
     if setup.has_data and config.batch_plan is None:
         raise ValueError(f"problem {config.problem} needs a batch_plan")
     if not setup.has_data and config.batch_plan is not None:
@@ -372,7 +371,7 @@ def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
 def _train_group(
     setup: ProblemSetup, members: Sequence[tuple[RunConfig, int]]
 ) -> list[RunResult]:
-    """Train (config, seed) runs of one problem and metric in lockstep.
+    """Train (config, seed) runs of one problem in lockstep.
 
     Every step evaluates the whole stack in one `loss_grad` call and then
     steps each run on its own row; every epoch evaluates the stack in one
@@ -384,7 +383,6 @@ def _train_group(
     """
     start = time.perf_counter()
     problem = setup.problem
-    metric = members[0][0].metric
     runs = [_start_run(config, seed, problem.dim) for config, seed in members]
     stack = runs
     params = np.stack([problem.init_params(seed) for _, seed in members])
@@ -422,7 +420,7 @@ def _train_group(
         if not stack:
             break
         train_losses = np.mean(epoch_losses, axis=1).tolist()
-        values = _evaluate(setup, params, metric).tolist()
+        values = _evaluate(setup, params).tolist()
         for run, value, train_loss in zip(stack, values, train_losses):
             if not (math.isfinite(value) and math.isfinite(train_loss)):
                 run.divergence_epoch = epoch
@@ -459,7 +457,7 @@ def _leave(stack: list[_Run], stays: Callable[[_Run], bool], *rows: np.ndarray):
 def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
     """Every seed of every config: one result list per config, in seed order.
 
-    Runs that share a problem, metric and batch shape train together in
+    Runs that share a problem and batch size train together in
     lockstep groups (see `_train_group`), as many per group as fit in
     `_STACK_PARAMS` parameters.  Each result is deterministic given its
     (config, seed) except its elapsed time, which is the group's wall
@@ -469,14 +467,10 @@ def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
     for i, config in enumerate(configs):
         _check_runnable(config, build_problem(config.problem))
         plan = config.batch_plan
-        key = (
-            config.problem,
-            config.metric,
-            None if plan is None else (plan.batch_size, plan.drop_last),
-        )
+        key = (config.problem, None if plan is None else plan.batch_size)
         groups.setdefault(key, []).extend((i, j) for j in range(len(config.seeds)))
     results: list[list[RunResult | None]] = [[None] * len(c.seeds) for c in configs]
-    for (problem, _, _), members in groups.items():
+    for (problem, _), members in groups.items():
         setup = build_problem(problem)
         # seed-major order, so a group's runs share few shuffle permutations
         members.sort(key=lambda ij: configs[ij[0]].seeds[ij[1]])
@@ -513,10 +507,6 @@ def default_lineup(
     return rows
 
 
-def default_metric_for(problem: str) -> Metric:
-    return Metric.TOP1_ERROR if build_problem(problem).has_data else Metric.FINAL_LOSS
-
-
 def sweep_mu_configs(
     mus: Sequence[float],
     problem: str,
@@ -541,7 +531,6 @@ def sweep_mu_configs(
             batch_plan=plan,
             schedule=schedule,
             seeds=tuple(seeds),
-            metric=default_metric_for(problem),
         )
         for opt in default_lineup(mus=mus)
     ]
@@ -610,7 +599,7 @@ def _fold(
 
 
 def run_grid(
-    configs: Sequence[RunConfig], seeds: Sequence[int] | None = None
+    configs: Sequence[RunConfig],
 ) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
     """Run every config and aggregate into canonical table rows.
 
@@ -622,8 +611,6 @@ def run_grid(
     """
     if not configs:
         raise ValueError("no configs to run")
-    if seeds is not None:
-        configs = [dataclasses.replace(c, seeds=tuple(seeds)) for c in configs]
     _check_cells(configs, [f"config {i}" for i in range(len(configs))])
     return _fold(configs, run_configs(configs))
 
@@ -662,8 +649,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     """Read a results file; its runs must be exactly its config's seeds.
 
-    Each run's `final_metric` must be null when it diverged, else its last
-    `eval_metric` entry, a finite number.
+    Each run must agree with itself and with the config's epochs, by the
+    load rules of `docs/schemas.md`.
     """
     path = Path(path)
     if not path.exists():
@@ -690,20 +677,38 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
             f"{path}: result seeds {seeds} are not the config's seeds {list(config.seeds)}"
         )
     for r in results:
-        final = r.final_metric
-        if r.diverged:
-            consistent = final is None
-        else:
-            consistent = (
-                isinstance(final, (int, float))
-                and not isinstance(final, bool)
-                and math.isfinite(final)
-                and r.eval_metric[-1:] == [final]
-            )
-        if not consistent:
-            expected = "null, the run diverged" if r.diverged else "its last eval_metric"
-            raise ValueError(f"{path}: seed {r.seed}: final_metric {final!r} is not {expected}")
+        contradiction = _contradiction(r, config.epochs)
+        if contradiction:
+            raise ValueError(f"{path}: seed {r.seed}: {contradiction}")
     return config, results
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _contradiction(r: RunResult, epochs: int) -> str | None:
+    """How a loaded run contradicts itself or its config's epochs, if it does."""
+    final, stop = r.final_metric, r.divergence_epoch
+    if r.diverged:
+        if final is not None:
+            return f"final_metric {final!r} is not null, the run diverged"
+        if isinstance(stop, bool) or not isinstance(stop, int) or not 0 <= stop < epochs:
+            return f"divergence_epoch {stop!r} of a diverged run is not in [0, {epochs})"
+    else:
+        if not _is_finite_number(final) or r.eval_metric[-1:] != [final]:
+            return f"final_metric {final!r} is not its last eval_metric"
+        if stop is not None:
+            return f"divergence_epoch {stop!r} of a completed run is not null"
+    recorded = stop if r.diverged else epochs
+    if not len(r.train_loss) == len(r.eval_metric) == recorded:
+        return (
+            f"train_loss and eval_metric hold {len(r.train_loss)} and "
+            f"{len(r.eval_metric)} epochs, not {recorded}"
+        )
+    if not all(map(_is_finite_number, r.train_loss + r.eval_metric)):
+        return "train_loss and eval_metric must hold only finite numbers"
+    return None
 
 
 def aggregate_result_files(paths: Sequence[str | Path]) -> list[AggregateResult]:

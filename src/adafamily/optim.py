@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,37 +253,3 @@ def step(
     if not coupled and config.weight_decay > 0.0:
         new_params -= (lr * config.weight_decay) * params
     return new_params
-
-
-_HEADER = struct.Struct("<qd")  # t, c
-
-
-def dump_state(state: OptimizerState) -> bytes:
-    """Little-endian dump: int64 t, float64 c, then m and v as raw float64."""
-    m = np.ascontiguousarray(state.m, dtype="<f8")
-    v = np.ascontiguousarray(state.v, dtype="<f8")
-    return _HEADER.pack(state.t, state.c) + m.tobytes() + v.tobytes()
-
-
-def load_state(data: bytes) -> OptimizerState:
-    """Inverse of dump_state; the buffer length determines the dimension.
-
-    Rejects a dump no step could have produced: t < 0, c outside [1, 2],
-    non-finite m or v, or negative v.
-    """
-    body = len(data) - _HEADER.size
-    if body < 16 or body % 16 != 0:
-        raise ValueError(f"state dump has invalid length {len(data)}")
-    t, c = _HEADER.unpack_from(data)
-    if t < 0:
-        raise ValueError(f"state dump has step counter t={t} < 0")
-    if not 1.0 <= c <= 2.0:
-        raise ValueError(f"state dump has factor c={c} outside [1, 2]")
-    dim = body // 16
-    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("state dump has a non-finite entry in m or v")
-    m, v = flat[:dim].copy(), flat[dim:].copy()
-    if np.any(v < 0.0):
-        raise ValueError("state dump has a negative entry in v")
-    return OptimizerState(m=m, v=v, t=t, c=c)

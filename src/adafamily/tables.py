@@ -136,35 +136,3 @@ def _emit_csv(aggregates, problems, ranks) -> str:
             )
         writer.writerow(row)
     return buf.getvalue()
-
-
-def parse_table_csv(text: str) -> list[dict]:
-    """Parse emit_table(..., 'csv') output back into plain row dicts.
-
-    Each row dict has keys label, means, ranks, divergent; means carry the
-    2-decimal precision of the file.
-    """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV table") from None
-    if not header or header[0] != "algorithm":
-        raise ValueError("CSV table must start with an 'algorithm' column")
-    if (len(header) - 1) % 3:
-        raise ValueError("malformed CSV table header")
-    problems = [header[i] for i in range(1, len(header), 3)]
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        if len(line) != len(header):
-            raise ValueError(f"CSV row has {len(line)} fields, expected {len(header)}")
-        row = {"label": line[0], "means": {}, "ranks": {}, "divergent": {}}
-        for j, problem in enumerate(problems):
-            mean_text, rank_text, div_text = line[1 + 3 * j : 4 + 3 * j]
-            row["means"][problem] = float(mean_text) if mean_text else None
-            row["ranks"][problem] = int(rank_text)
-            row["divergent"][problem] = int(div_text)
-        rows.append(row)
-    return rows

@@ -15,7 +15,7 @@ from adafamily.cli import (
     main,
     save_run_config_file,
 )
-from adafamily.harness import Metric, RunConfig, load_results
+from adafamily.harness import RunConfig, load_results
 from adafamily.optim import Algorithm, OptimizerConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,7 +30,6 @@ def _small_config(**overrides):
         batch_plan=None,
         schedule=((1, 0.5),),
         seeds=(0, 1),
-        metric=Metric.FINAL_LOSS,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -66,6 +65,19 @@ def test_run_rejects_wrong_config_version(tmp_path, capsys):
     bad.write_text(json.dumps({"version": 9, "run": {}}))
     assert main(["run", "--config", str(bad)]) == 1
     assert "version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [["0"], [0.5], [-1, 2**64 - 1], [2**64]])
+def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
+    config_path = tmp_path / "config.json"
+    save_run_config_file(config_path, _small_config())
+    payload = json.loads(config_path.read_text())
+    payload["run"]["seeds"] = seeds
+    config_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and "[0, 2**64)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_writes_results_file(tmp_path, capsys):
@@ -191,6 +203,18 @@ def test_table_refuses_final_metric_other_than_last_eval(tmp_path, capsys, final
     assert main(["table", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and f"seed {run['seed']}" in err
+
+
+def test_table_refuses_a_run_cut_short(tmp_path, capsys):
+    payload = json.loads((FIXTURES / "smoke" / "blobs-mlp1--adam.json").read_text())
+    run = payload["results"][0]
+    del run["train_loss"][1:], run["eval_metric"][1:]
+    run["final_metric"] = run["eval_metric"][0]
+    path = tmp_path / "blobs-mlp1--adam.json"
+    path.write_text(json.dumps(payload))
+    assert main(["table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "seed 0" in err and "not 5" in err
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,10 @@ def test_dataset_validates_labels():
 def test_batch_plan_validation():
     with pytest.raises(ValueError):
         BatchPlan(batch_size=0, shuffle_seed=1)
-    with pytest.raises(ValueError):
-        BatchPlan(batch_size=4, shuffle_seed=-1)
+    for seed in (-1, 2**64, 0.5, "1", True):
+        with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
+            BatchPlan(batch_size=4, shuffle_seed=seed)
+    assert BatchPlan(batch_size=4, shuffle_seed=2**64 - 1).shuffle_seed == 2**64 - 1
 
 
 # -------------------------------------------------------------------------
@@ -210,13 +212,6 @@ def test_batches_cover_dataset_exactly():
     assert sorted(seen.tolist()) == ds.features[:, 0].tolist()
 
 
-def test_batches_drop_last():
-    ds = _tiny_dataset(10)
-    plan = BatchPlan(batch_size=3, shuffle_seed=42, drop_last=True)
-    got = list(batches(ds, plan, epoch_index=0))
-    assert [b.n for b in got] == [3, 3, 3]
-
-
 def test_batches_replay_identical():
     ds = _tiny_dataset(10)
     plan = BatchPlan(batch_size=4, shuffle_seed=7)
@@ -277,8 +272,6 @@ def test_stacked_batches_need_one_batch_shape():
     ds = _tiny_dataset(10)
     with pytest.raises(ValueError, match="share batch_size"):
         list(batches(ds, [BatchPlan(3, 0), BatchPlan(4, 0)], 0))
-    with pytest.raises(ValueError, match="share batch_size"):
-        list(batches(ds, [BatchPlan(3, 0), BatchPlan(3, 0, drop_last=True)], 0))
     with pytest.raises(ValueError, match="at least one"):
         list(batches(ds, [], 0))
 

@@ -1,19 +1,20 @@
 """Tests for the benchmark harness: schedules, runs, grids, persistence."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from adafamily.data import BatchPlan
+from adafamily.data import BatchPlan, Dataset
 from adafamily.harness import (
     DESK_SCHEDULE,
     DESK_SEEDS,
     MU_GRID,
     AggregateResult,
-    Metric,
     ProblemSetup,
     RunConfig,
     RunResult,
@@ -33,7 +34,7 @@ from adafamily.harness import (
 )
 from adafamily.optim import Algorithm, OptimizerConfig
 from adafamily.problems import MLP1, Problem
-from adafamily.tables import emit_table, parse_table_csv
+from adafamily.tables import emit_table
 
 
 def _quad_config(**overrides):
@@ -44,7 +45,6 @@ def _quad_config(**overrides):
         batch_plan=None,
         schedule=(),
         seeds=(0,),
-        metric=Metric.FINAL_LOSS,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -58,7 +58,6 @@ def _blobs_config(**overrides):
         batch_plan=BatchPlan(batch_size=32, shuffle_seed=12345),
         schedule=(),
         seeds=(0,),
-        metric=Metric.TOP1_ERROR,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -141,8 +140,14 @@ def test_run_config_rejects_scale_that_overflows():
 def test_run_config_rejects_repeated_seed():
     with pytest.raises(ValueError, match="seed 0 repeats"):
         _quad_config(seeds=(0, 1, 0))
-    with pytest.raises(ValueError, match="seed 2 repeats"):
-        run_grid([_quad_config()], seeds=(2, 2))
+
+
+@pytest.mark.parametrize("seed", ["0", 0.5, -1, 2**64, True, None])
+def test_run_config_rejects_seeds_it_cannot_run(seed):
+    # -1 and 2**64 would fold into the same 64-bit keys as 2**64 - 1 and 0
+    with pytest.raises(ValueError, match=rf"integers in \[0, 2\*\*64\), got {seed!r}"):
+        _quad_config(seeds=(1, seed))
+    assert _quad_config(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
 
 
 def test_run_config_rejects_bad_epochs_and_seeds():
@@ -252,17 +257,57 @@ def test_blobs_run_improves_top1_error():
     assert 0.0 <= result.eval_metric[-1] <= 100.0
 
 
-def test_final_loss_metric_on_dataset_uses_test_split():
-    config = _blobs_config(metric=Metric.FINAL_LOSS, epochs=2)
-    result = _only_run(config)
-    setup = build_problem("blobs-logreg")
-    assert setup.test.n < setup.train.n
-    assert math.isfinite(result.final_metric)
+def test_from_dict_loads_a_stored_metric_and_drop_last_only_where_derived():
+    # before the metric was derived, a missing metric read as final_loss and a
+    # missing drop_last as false; exactly the configs whose stored values meant
+    # what is now derived still load, written back with the derived values
+    loads = {
+        ("drop_last false", "top1_error"),
+        ("drop_last absent", "top1_error"),
+        ("no plan", "final_loss"),
+        ("no plan", None),
+    }
+    for plan in ("drop_last true", "drop_last false", "drop_last absent", "no plan"):
+        config = _quad_config() if plan == "no plan" else _blobs_config()
+        assert config.metric == ("final_loss" if plan == "no plan" else "top1_error")
+        for metric in ("top1_error", "final_loss", "top5_error", None):
+            d = json.loads(json.dumps(config.to_dict()))
+            if plan != "no plan":
+                del d["batch_plan"]["drop_last"]
+                if plan != "drop_last absent":
+                    d["batch_plan"]["drop_last"] = plan == "drop_last true"
+            del d["metric"]
+            if metric is not None:
+                d["metric"] = metric
+            if (plan, metric) in loads:
+                assert RunConfig.from_dict(d) == config
+                assert RunConfig.from_dict(d).to_dict() == config.to_dict()
+                continue
+            if plan == "drop_last true":
+                expected = r"drop_last True is not false"
+            else:
+                stored = f"metric '{metric}'" if metric else r"no metric \(read as 'final_loss'\)"
+                expected = rf"{stored} does not fit .* which evaluates '{config.metric}'"
+            with pytest.raises(ValueError, match=expected):
+                RunConfig.from_dict(d)
 
 
-def test_top1_on_analytic_problem_rejected():
-    with pytest.raises(ValueError, match="[Tt]op-?1"):
-        _only_run(_quad_config(metric=Metric.TOP1_ERROR))
+def test_top1_error_falls_back_to_train_without_a_test_split():
+    base = build_problem("blobs-logreg")
+    empty = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), num_classes=3)
+    tests = {"on-train": base.train, "no-test": None, "empty-test": empty}
+    for name, test in tests.items():
+        register_problem(
+            name, lambda test=test: ProblemSetup(base.problem, train=base.train, test=test)
+        )
+    try:
+        runs = run_configs([_blobs_config(problem=name, seeds=(0, 1)) for name in tests])
+        assert [r.eval_metric for r in runs[0]] == [r.eval_metric for r in runs[1]]
+        assert [r.eval_metric for r in runs[0]] == [r.eval_metric for r in runs[2]]
+    finally:
+        for name in tests:
+            del _PROBLEM_BUILDERS[name]
+        build_problem.cache_clear()
 
 
 def test_dataset_problem_requires_batch_plan():
@@ -320,7 +365,7 @@ def _register_cliff(name, cliff, finite_loss=False):
     )
 
 
-def _assert_aborts_in_epoch(name, finite_loss, epoch):
+def _assert_aborts_in_epoch(name, finite_loss, epoch, tmp_path):
     # Adam walks +alpha per step up the slope; with alpha=1e-3 the step of
     # epoch 2 crosses 2.5e-3 (steps land near 1e-3, 2e-3, 3e-3, ...)
     _register_cliff(name, cliff=2.5e-3, finite_loss=finite_loss)
@@ -333,19 +378,22 @@ def _assert_aborts_in_epoch(name, finite_loss, epoch):
         assert len(result.eval_metric) == epoch
         assert all(math.isfinite(v) for v in result.train_loss + result.eval_metric)
         assert result.final_metric is None
+        path = tmp_path / "cliff.json"
+        save_results(path, config, [result])
+        assert load_results(path) == (config, [result])
     finally:
         del _PROBLEM_BUILDERS[name]
         build_problem.cache_clear()
 
 
-def test_divergent_run_flags_epoch_and_aborts():
+def test_divergent_run_flags_epoch_and_aborts(tmp_path):
     # the NaN loss past the cliff shows in epoch 2's evaluation
-    _assert_aborts_in_epoch("cliff-a", finite_loss=False, epoch=2)
+    _assert_aborts_in_epoch("cliff-a", finite_loss=False, epoch=2, tmp_path=tmp_path)
 
 
-def test_nan_gradient_with_finite_loss_diverges_the_same_way():
+def test_nan_gradient_with_finite_loss_diverges_the_same_way(tmp_path):
     # only the optimizer's gradient scan can catch this one, at the next step
-    _assert_aborts_in_epoch("cliff-c", finite_loss=True, epoch=3)
+    _assert_aborts_in_epoch("cliff-c", finite_loss=True, epoch=3, tmp_path=tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -363,6 +411,7 @@ def test_non_finite_eval_diverges_the_run(tmp_path):
     path = tmp_path / "r.json"
     save_results(path, config, [result])
     json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"wrote {c}"))
+    assert load_results(path) == (config, [result])
 
 
 def test_rosenbrock_overflow_diverges_instead_of_raising():
@@ -440,7 +489,7 @@ def test_sweep_mu_configs_cover_baselines_and_grid():
     assert all(c.problem == "blobs-mlp1" for c in configs)
     assert all(c.seeds == DESK_SEEDS for c in configs)
     assert all(c.schedule == DESK_SCHEDULE for c in configs)
-    assert all(c.metric is Metric.TOP1_ERROR for c in configs)
+    assert all(c.metric == "top1_error" for c in configs)
     assert all(c.batch_plan is not None for c in configs)
 
 
@@ -448,7 +497,7 @@ def test_sweep_mu_configs_on_analytic_problem():
     configs = sweep_mu_configs((0.5,), "quadratic", seeds=(0,), epochs=5)
     assert len(configs) == 5
     assert all(c.batch_plan is None for c in configs)
-    assert all(c.metric is Metric.FINAL_LOSS for c in configs)
+    assert all(c.metric == "final_loss" for c in configs)
 
 
 def test_canonical_row_key_orders_lineup_then_unknown():
@@ -478,7 +527,8 @@ def test_canonical_row_key_orders_lineup_then_unknown():
 
 
 def _table_ranks(aggregates, problem):
-    return [row["ranks"][problem] for row in parse_table_csv(emit_table(aggregates, "csv"))]
+    rows = csv.DictReader(io.StringIO(emit_table(aggregates, "csv")))
+    return [int(row[f"{problem}_rank"]) for row in rows]
 
 
 def test_run_grid_nine_rows_ranks_are_permutation():
@@ -517,12 +567,6 @@ def test_run_grid_identical_behavior_ties_break_by_row_order():
     assert aggregates[0].label == "Adam" and aggregates[1].label == "AdamW"
     assert aggregates[0].means["quadratic"] == aggregates[1].means["quadratic"]
     assert _table_ranks(aggregates, "quadratic") == [1, 2]
-
-
-def test_run_grid_seed_override():
-    config = _quad_config(epochs=2, seeds=(0,))
-    _, raw = run_grid([config], seeds=(0, 1))
-    assert [r.seed for r in raw[("Adam", "quadratic")]] == [0, 1]
 
 
 def test_run_grid_merges_configs_differing_only_in_seeds_in_seed_order():
@@ -632,6 +676,64 @@ def test_load_results_refuses_inconsistent_final_metric(
         load_results(path)
 
 
+_CONTRADICTIONS = {
+    "cut-short": (
+        lambda run: dict(
+            train_loss=run["train_loss"][:1],
+            eval_metric=run["eval_metric"][:1],
+            final_metric=run["eval_metric"][0],
+        ),
+        r"hold 1 and 1 epochs, not 3",
+    ),
+    "unequal-lists": (lambda run: dict(train_loss=run["train_loss"][:2]), "hold 2 and 3"),
+    "completed-with-epoch": (lambda run: dict(divergence_epoch=7), "7 of a completed run"),
+    "diverged-without-epoch": (
+        lambda run: dict(diverged=True, final_metric=None),
+        r"None of a diverged run is not in \[0, 3\)",
+    ),
+    "diverged-past-end": (
+        lambda run: dict(diverged=True, final_metric=None, divergence_epoch=3),
+        "3 of a diverged run",
+    ),
+    "diverged-negative": (
+        lambda run: dict(diverged=True, final_metric=None, divergence_epoch=-1),
+        "-1 of a diverged run",
+    ),
+    "diverged-float-epoch": (
+        lambda run: dict(diverged=True, final_metric=None, divergence_epoch=1.0),
+        "1.0 of a diverged run",
+    ),
+    "diverged-bool-epoch": (
+        lambda run: dict(diverged=True, final_metric=None, divergence_epoch=True),
+        "True of a diverged run",
+    ),
+    "diverged-after-every-epoch": (
+        lambda run: dict(diverged=True, final_metric=None, divergence_epoch=1),
+        "hold 3 and 3 epochs, not 1",
+    ),
+    "inf-train-loss": (lambda run: dict(train_loss=[math.inf] * 3), "only finite numbers"),
+    "nan-eval": (
+        lambda run: dict(eval_metric=[math.nan] + run["eval_metric"][1:]),
+        "only finite numbers",
+    ),
+    "string-train-loss": (lambda run: dict(train_loss=["1.0"] * 3), "only finite numbers"),
+    "bool-train-loss": (lambda run: dict(train_loss=[True] * 3), "only finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", _CONTRADICTIONS)
+def test_load_results_refuses_runs_that_contradict_the_config(tmp_path, case):
+    edit, message = _CONTRADICTIONS[case]
+    config = _quad_config(epochs=3, seeds=(0, 1))
+    path = tmp_path / "cell.json"
+    save_results(path, config, run_configs([config])[0])
+    payload = json.loads(path.read_text())
+    payload["results"][1].update(edit(payload["results"][1]))
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"cell.json: seed 1: .*{message}"):
+        load_results(path)
+
+
 def test_aggregate_result_files_merges_seed_batches(tmp_path):
     config_a = _quad_config(epochs=2, seeds=(0,))
     config_b = _quad_config(epochs=2, seeds=(1,))
@@ -655,11 +757,11 @@ def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
 
 
 def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
-    # the split Adam cell is one whose mean rounded differently when the
-    # two files were concatenated in file order; folding in seed order
-    # makes every order agree with the grid
+    # the split Adam cell's mean rounds differently in the grid's config
+    # order (seeds 3, 0, 1, 5, 2, 4) than in the files' (0, 1, 3, 2, 4, 5);
+    # folding in seed order makes every order agree with the grid
     plan = BatchPlan(batch_size=32, shuffle_seed=12345)
-    split_cell = dict(epochs=2, metric=Metric.FINAL_LOSS)
+    split_cell = dict(problem="blobs-mlp1", epochs=2)
     family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.5)
     configs = [
         _blobs_config(seeds=(3, 0, 1), **split_cell),
@@ -676,10 +778,11 @@ def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
     assert aggregate_result_files(paths[::-1]) == aggregates
     split = [paths[0], paths[2]]
     assert aggregate_result_files(split) == aggregate_result_files(split[::-1])
-    assert [r.seed for r in raw[("Adam", "blobs-logreg")]] == [0, 1, 2, 3, 4, 5]
-    assert aggregates[0].means["blobs-logreg"] == float(
-        np.mean([r.final_metric for r in raw[("Adam", "blobs-logreg")]])
-    )
+    runs = raw[("Adam", "blobs-mlp1")]
+    assert [r.seed for r in runs] == [0, 1, 2, 3, 4, 5]
+    assert aggregates[0].means["blobs-mlp1"] == float(np.mean([r.final_metric for r in runs]))
+    in_config_order = [runs[s].final_metric for s in (3, 0, 1, 5, 2, 4)]
+    assert aggregates[0].means["blobs-mlp1"] != float(np.mean(in_config_order))
 
 
 def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
@@ -817,7 +920,6 @@ def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind():
             _blobs_config(epochs=2, seeds=(0, 1, 2)),
             _blobs_config(epochs=3, optimizer=family, seeds=(2, 0), schedule=((1, 0.5),)),
             _blobs_config(problem="blobs-mlp1", epochs=2, seeds=(0, 1)),
-            _blobs_config(problem="blobs-mlp1", epochs=2, metric=Metric.FINAL_LOSS),
             _blobs_config(problem="blobs-mlp1", epochs=2, batch_plan=plan, seeds=(4,)),
         ]
         for name in names:

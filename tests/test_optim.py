@@ -5,7 +5,6 @@ and once through the scalar reference loops in adafamily.checks, which
 share no code with it.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -28,10 +27,7 @@ from adafamily.optim import (
     BufferMismatchError,
     NonFiniteGradientError,
     OptimizerConfig,
-    OptimizerState,
-    dump_state,
     init_state,
-    load_state,
     normalization_factor,
     step,
 )
@@ -303,7 +299,7 @@ def test_v_bound_with_zero_gradients():
 
 
 # -------------------------------------------------------------------------
-# determinism, serialization
+# determinism
 # -------------------------------------------------------------------------
 
 
@@ -312,44 +308,6 @@ def test_replay_is_bitwise_identical():
     for algorithm in Algorithm:
         cfg = OptimizerConfig(algorithm=algorithm, mu=0.25)
         assert trajectory(cfg, grads, theta0) == trajectory(cfg, grads, theta0)
-
-
-def test_dump_load_roundtrip_continues_identically():
-    theta0, grads = _random_run(4003, steps=30)
-    cfg = _af(0.37)
-    st = init_state(cfg, theta0.shape[0])
-    params = theta0.copy()
-    for g in grads[:17]:
-        params = step(st, params, g, cfg)
-    st2 = load_state(dump_state(st))
-    assert st2.t == st.t and st2.c == st.c
-    assert np.array_equal(st2.m, st.m) and np.array_equal(st2.v, st.v)
-    pa, pb = params.copy(), params.copy()
-    for g in grads[17:]:
-        pa = step(st, pa, g, cfg)
-        pb = step(st2, pb, g, cfg)
-    assert np.array_equal(pa, pb)
-
-
-def test_load_state_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_state(b"\x00" * 7)
-    with pytest.raises(ValueError):
-        load_state(dump_state(init_state(_af(0.5), 3)) + b"\x01")
-    # well-formed bytes whose values no step could produce
-    good = OptimizerState(m=np.zeros(2), v=np.array([1.0, 0.0]), t=3, c=1.5)
-    load_state(dump_state(good))
-    for bad, pattern in [
-        (dict(t=-3), "t=-3"),
-        (dict(c=7.0), "c=7.0"),
-        (dict(c=0.5), "c=0.5"),
-        (dict(c=float("nan")), "c=nan"),
-        (dict(v=np.array([-1.0, 0.0])), "negative"),
-        (dict(v=np.array([1.0, np.nan])), "non-finite"),
-        (dict(m=np.array([np.inf, 0.0])), "non-finite"),
-    ]:
-        with pytest.raises(ValueError, match=pattern):
-            load_state(dump_state(dataclasses.replace(good, **bad)))
 
 
 # -------------------------------------------------------------------------

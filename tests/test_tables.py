@@ -1,9 +1,12 @@
 """Tests for table emission: ranking, marking, formats, round-trips."""
 
+import csv
+import io
+
 import pytest
 
 from adafamily.harness import AggregateResult
-from adafamily.tables import FORMATS, emit_table, ordinal_ranks, parse_table_csv
+from adafamily.tables import FORMATS, emit_table, ordinal_ranks
 
 LINEUP = [
     "Adam",
@@ -144,26 +147,19 @@ def test_csv_emission_and_round_trip():
     text = emit_table(rows, format="csv")
     lines = text.splitlines()
     assert lines[0] == "algorithm,bench,bench_rank,bench_diverged"
-    parsed = parse_table_csv(text)
-    assert [p["label"] for p in parsed] == ["Adam", "AdamW"]
+    parsed = list(csv.DictReader(io.StringIO(text)))
+    assert [p["algorithm"] for p in parsed] == ["Adam", "AdamW"]
     # cells round to 2 decimals on the wire
-    assert parsed[0]["means"]["bench"] == pytest.approx(10.13)
-    assert parsed[1]["means"]["bench"] == pytest.approx(9.87)
-    assert parsed[0]["ranks"]["bench"] == 2
-    assert parsed[1]["ranks"]["bench"] == 1
-    assert parsed[1]["divergent"]["bench"] == 1
+    assert [p["bench"] for p in parsed] == ["10.13", "9.87"]
+    assert [p["bench_rank"] for p in parsed] == ["2", "1"]
+    assert [p["bench_diverged"] for p in parsed] == ["0", "1"]
 
 
 def test_csv_none_mean_round_trips():
     rows = _rows({"A": None, "B": 2.0})
-    parsed = parse_table_csv(emit_table(rows, format="csv"))
-    assert parsed[0]["means"]["bench"] is None
-    assert parsed[1]["means"]["bench"] == pytest.approx(2.0)
-
-
-def test_parse_table_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        parse_table_csv("nope,x\nAdam,1\n")
+    parsed = list(csv.DictReader(io.StringIO(emit_table(rows, format="csv"))))
+    assert [p["bench"] for p in parsed] == ["", "2.00"]
+    assert [p["bench_rank"] for p in parsed] == ["2", "1"]
 
 
 # ---------------------------------------------------------------------------

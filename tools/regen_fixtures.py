@@ -31,7 +31,6 @@ from adafamily.cli import _results_filename, save_run_config_file
 from adafamily.data import BatchPlan, batches
 from adafamily.harness import (
     DESK_SCHEDULE,
-    Metric,
     RunConfig,
     aggregate_result_files,
     build_problem,
@@ -56,7 +55,6 @@ def write_example_config() -> None:
         epochs=50,
         schedule=((10, 0.5), (20, 0.5)),
         seeds=(0, 1, 2),
-        metric=Metric.FINAL_LOSS,
     )
     save_run_config_file(FIXTURES / "quadratic_run.json", config)
 
@@ -76,7 +74,6 @@ def write_smoke_results() -> list[Path]:
                 batch_plan=BatchPlan(batch_size=32, shuffle_seed=12345),
                 schedule=((2, 0.5),),
                 seeds=SMOKE_SEEDS,
-                metric=Metric.TOP1_ERROR,
             )
             path = smoke / _results_filename(config)
             save_results(path, config, run_configs([config])[0])
