@@ -14,8 +14,8 @@ eps conventions that keeps mu=0 from being *standard* Adam.
 
 import numpy as np
 
-from adafamily import Algorithm, OptimizerConfig, init_state, step
-from adafamily.checks import max_relative_divergence, ref_adam_run, trajectory
+from adafamily import Algorithm, OptimizerConfig, init_state, relative_error, step
+from adafamily.checks import ref_adam_run, trajectory
 from adafamily.rng import normals
 
 STEPS, DIM = 100, 16
@@ -24,7 +24,7 @@ STEPS, DIM = 100, 16
 def pair_divergence(config_a, config_b, seed):
     theta0 = normals(seed, DIM)
     grads = normals(seed + 1, STEPS * DIM).reshape(STEPS, DIM)
-    return max_relative_divergence(
+    return relative_error(
         trajectory(config_a, grads, theta0), trajectory(config_b, grads, theta0)
     )
 
@@ -43,7 +43,7 @@ def main():
     adam = ref_adam_run(grads.tolist(), theta0.tolist())
     print(
         f"mu=0.0 vs standard Adam    max divergence "
-        f"{max_relative_divergence(fast, adam):.3e}  (eps placement differs)"
+        f"{relative_error(fast, adam):.3e}  (eps placement differs)"
     )
 
     print()

@@ -18,7 +18,7 @@ def main():
     print("=== analytic vs central-difference gradients (20 draws each) ===")
     print(f"{'kind':<12} {'dim':>4} {'draws':>6} {'worst rel err':>14}")
     overall = 0.0
-    for problem, evals in default_problems_for_gradcheck(draws=20):
+    for problem, evals in default_problems_for_gradcheck():
         worst = 0.0
         count = 0
         for params, batch in evals:

@@ -13,7 +13,6 @@ Every failure exits nonzero with a message naming the offending path.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -23,6 +22,8 @@ from .harness import (
     DESK_BATCH_SIZE,
     DESK_EPOCHS,
     RunConfig,
+    _read_json_file,
+    _write_json_file,
     aggregate_result_files,
     problem_names,
     run_configs,
@@ -55,15 +56,7 @@ def _results_filename(config: RunConfig) -> str:
 
 
 def load_run_config_file(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("version") != CONFIG_VERSION:
-        raise ValueError(f"{path}: expected a config with version {CONFIG_VERSION}")
+    payload = _read_json_file(path, CONFIG_VERSION)
     try:
         return RunConfig.from_dict(payload["run"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -71,9 +64,7 @@ def load_run_config_file(path: str | Path) -> RunConfig:
 
 
 def save_run_config_file(path: str | Path, config: RunConfig) -> None:
-    payload = {"version": CONFIG_VERSION, "run": config.to_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    write_text_atomic(path, text + "\n")
+    _write_json_file(path, {"version": CONFIG_VERSION, "run": config.to_dict()})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -87,7 +87,7 @@ class BatchPlan:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         s = self.shuffle_seed
-        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2**64:
+        if not rng.is_seed(s):
             raise ValueError(f"shuffle_seed must be an integer in [0, 2**64), got {s!r}")
 
 

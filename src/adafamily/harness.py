@@ -162,11 +162,13 @@ class RunConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
-            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2**64:
+            if not rng.is_seed(s):
                 raise ValueError(f"seeds must be integers in [0, 2**64), got {s!r}")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise ValueError(f"seed {repeated[0]} repeats in seeds {list(self.seeds)}")
+        if any(type(m) is not int or type(f) not in (int, float) for m, f in self.schedule):
+            raise ValueError(f"schedule takes [integer milestone, number factor]: {self.schedule}")
         milestones = [m for m, _ in self.schedule]
         if any(m2 <= m1 for m1, m2 in zip(milestones, milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing: {milestones}")
@@ -209,7 +211,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Inverse of to_dict.  A stored metric (absent reads as 'final_loss')
-        must be the derived one, and a stored drop_last must be false."""
+        must be the derived one, a stored drop_last must be false, and an int
+        schedule factor reads as a float."""
         plan = d.get("batch_plan")
         config = cls(
             problem=d["problem"],
@@ -218,7 +221,9 @@ class RunConfig:
             batch_plan=None
             if plan is None
             else BatchPlan(batch_size=plan["batch_size"], shuffle_seed=plan["shuffle_seed"]),
-            schedule=tuple((int(m), float(f)) for m, f in d.get("schedule", [])),
+            schedule=tuple(
+                (m, float(f) if type(f) is int else f) for m, f in d.get("schedule", [])
+            ),
             seeds=tuple(d.get("seeds", [0])),
         )
         if plan is not None and plan.get("drop_last", False):
@@ -483,28 +488,18 @@ def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
     return results
 
 
+_BASELINES = (Algorithm.ADAM, Algorithm.ADAMW, Algorithm.ADABELIEF, Algorithm.ADAMOMENTUM)
+
+
 def default_lineup(
-    alpha: float = 1e-3,
-    weight_decay: float = DESK_WEIGHT_DECAY,
-    mus: Sequence[float] = MU_GRID,
+    weight_decay: float = DESK_WEIGHT_DECAY, mus: Sequence[float] = MU_GRID
 ) -> list[OptimizerConfig]:
     """The 9-row comparison: 4 baselines plus the blend at each mu."""
-    rows = [
-        OptimizerConfig(algorithm=a, alpha=alpha, weight_decay=weight_decay)
-        for a in (
-            Algorithm.ADAM,
-            Algorithm.ADAMW,
-            Algorithm.ADABELIEF,
-            Algorithm.ADAMOMENTUM,
-        )
-    ]
-    rows.extend(
-        OptimizerConfig(
-            algorithm=Algorithm.ADAFAMILY, mu=mu, alpha=alpha, weight_decay=weight_decay
-        )
+    baselines = [OptimizerConfig(algorithm=a, weight_decay=weight_decay) for a in _BASELINES]
+    return baselines + [
+        OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=mu, weight_decay=weight_decay)
         for mu in mus
-    )
-    return rows
+    ]
 
 
 def sweep_mu_configs(
@@ -536,17 +531,12 @@ def sweep_mu_configs(
     ]
 
 
-def canonical_row_key(label: str) -> tuple:
-    """Sort key giving the fixed lineup order: baselines, then mu ascending."""
-    baseline_order = {"Adam": 0, "AdamW": 1, "AdaBelief": 2, "AdaMomentum": 3}
-    if label in baseline_order:
-        return (0, baseline_order[label], 0.0, label)
-    if label.startswith("AdaFamily(") and label.endswith(")"):
-        try:
-            return (1, 0, float(label[10:-1]), label)
-        except ValueError:
-            pass
-    return (2, 0, 0.0, label)
+def _cell_key(config: RunConfig) -> tuple:
+    """Lineup order: `_BASELINES` in turn, then AdaFamily by ascending mu;
+    within a row, problems by name."""
+    opt = config.optimizer
+    row = (_BASELINES + (Algorithm.ADAFAMILY,)).index(opt.algorithm)
+    return row, opt.mu, opt.label, config.problem
 
 
 def _check_cells(configs: Sequence[RunConfig], sources: Sequence[str]) -> None:
@@ -579,17 +569,18 @@ def _check_cells(configs: Sequence[RunConfig], sources: Sequence[str]) -> None:
 def _fold(
     configs: Sequence[RunConfig], results: Sequence[Sequence[RunResult]]
 ) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
-    """Table rows in `canonical_row_key` order, and each cell's runs.
+    """Table rows in lineup order, and each cell's runs.
 
     Each (label, problem) cell's runs are sorted by seed before they are
-    averaged, so no mean depends on the order of the configs or files.
+    averaged, so neither a mean nor the row order depends on the order of
+    the configs or files.
     """
     cells: dict[tuple[str, str], list[RunResult]] = {}
-    for config, runs in zip(configs, results):
+    for config, runs in sorted(zip(configs, results), key=lambda pair: _cell_key(pair[0])):
         cells.setdefault((config.optimizer.label, config.problem), []).extend(runs)
     rows: dict[str, AggregateResult] = {}
-    for label, problem in sorted(cells, key=lambda c: (canonical_row_key(c[0]), c[1])):
-        runs = cells[label, problem] = sorted(cells[label, problem], key=lambda r: r.seed)
+    for (label, problem), runs in cells.items():
+        runs.sort(key=lambda r: r.seed)
         good = [r.final_metric for r in runs if not r.diverged]
         agg = rows.setdefault(label, AggregateResult(label=label))
         agg.means[problem] = float(np.mean(good)) if good else None
@@ -626,8 +617,31 @@ def save_results(path: str | Path, config: RunConfig, results: Sequence[RunResul
         "config": config.to_dict(),
         "results": [r.to_dict() for r in sorted(results, key=lambda r: r.seed)],
     }
+    _write_json_file(path, payload)
+
+
+def _write_json_file(path: str | Path, payload: dict) -> None:
+    """Write strict JSON, sorted keys, indent 2, final newline, atomically."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     write_text_atomic(path, text + "\n")
+
+
+def _read_json_file(path: str | Path, version: int) -> dict:
+    """The JSON object in ``path``, whose "version" must be ``version``.
+
+    A missing file raises FileNotFoundError; anything else that is not such
+    an object (an OSError, bad UTF-8 or JSON) raises ValueError naming the path.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path}: no such file") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read JSON ({exc})") from None
+    stored = payload.get("version") if isinstance(payload, dict) else None
+    if type(stored) is not int or stored != version:
+        raise ValueError(f"{path}: expected a JSON object with version {version}")
+    return payload
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -652,34 +666,21 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     Each run must agree with itself and with the config's epochs, by the
     load rules of `docs/schemas.md`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"results file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(payload, dict) or "version" not in payload:
-        raise ValueError(f"{path}: missing version field")
-    if payload["version"] != RESULTS_VERSION:
-        raise ValueError(
-            f"{path}: results version {payload['version']} unsupported "
-            f"(expected {RESULTS_VERSION})"
-        )
+    payload = _read_json_file(path, RESULTS_VERSION)
     try:
         config = RunConfig.from_dict(payload["config"])
         results = [RunResult.from_dict(r) for r in payload["results"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
+    for r in results:
+        contradiction = _contradiction(r, config.epochs)
+        if contradiction:
+            raise ValueError(f"{path}: seed {r.seed!r}: {contradiction}")
     seeds = sorted(r.seed for r in results)
     if seeds != sorted(config.seeds):
         raise ValueError(
             f"{path}: result seeds {seeds} are not the config's seeds {list(config.seeds)}"
         )
-    for r in results:
-        contradiction = _contradiction(r, config.epochs)
-        if contradiction:
-            raise ValueError(f"{path}: seed {r.seed}: {contradiction}")
     return config, results
 
 
@@ -689,6 +690,8 @@ def _is_finite_number(x) -> bool:
 
 def _contradiction(r: RunResult, epochs: int) -> str | None:
     """How a loaded run contradicts itself or its config's epochs, if it does."""
+    if not rng.is_seed(r.seed):
+        return "not an integer in [0, 2**64)"
     final, stop = r.final_metric, r.divergence_epoch
     if r.diverged:
         if final is not None:

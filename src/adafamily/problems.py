@@ -385,24 +385,30 @@ def finite_diff_grad(
     return grad
 
 
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max_i |a_i - b_i| / max(|a_i|, |b_i|, 1): elementwise with a unit floor."""
+def relative_error(a, b) -> float:
+    """max_i |a_i - b_i| / max(|a_i|, |b_i|, 1): elementwise with a unit floor.
+
+    Arrays of different shapes raise ValueError; a NaN on either side makes
+    the result NaN, so it fails every comparison with a tolerance.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"cannot compare shapes {a.shape} and {b.shape}")
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def spd_quadratic(seed: int, dim: int, cond: float, scale: float = 1.0) -> Quadratic:
-    """Random SPD quadratic with eigenvalues geomspaced over [scale/cond, scale].
+def spd_quadratic(seed: int, dim: int, cond: float) -> Quadratic:
+    """Random SPD quadratic with eigenvalues geomspaced over [1/cond, 1].
 
     The eigenbasis is a seed-deterministic random rotation (QR of a square
     Gaussian matrix with the sign convention R_ii > 0); the right-hand side
     places the minimizer at a seed-deterministic unit-scale point.
     """
-    if dim < 1 or cond < 1.0 or scale <= 0.0:
-        raise ValueError("need dim >= 1, cond >= 1 and scale > 0")
-    eig = np.geomspace(scale / cond, scale, dim)
+    if dim < 1 or cond < 1.0:
+        raise ValueError("need dim >= 1 and cond >= 1")
+    eig = np.geomspace(1.0 / cond, 1.0, dim)
     gauss = rng.normals(rng.derive_key(seed, 0), dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))
@@ -420,21 +426,21 @@ def _random_batch(key: int, n: int, num_features: int, num_classes: int) -> Batc
     )
 
 
-def default_problems_for_gradcheck(
-    draws: int = 20,
-) -> Iterator[tuple[Problem, Iterable[tuple[np.ndarray, Batch | None]]]]:
+def default_problems_for_gradcheck() -> Iterator[
+    tuple[Problem, Iterable[tuple[np.ndarray, Batch | None]]]
+]:
     """(problem, [(params, batch), ...]) covering all four kinds.
 
     Used by the gradient self-check: every analytic gradient is compared
-    to the central-difference oracle over `draws` random evaluation points.
+    to the central-difference oracle at 20 random evaluation points.
     """
     quad = spd_quadratic(501, 6, 50.0)
     yield quad, [
-        (rng.normals(rng.derive_key(502, i), quad.dim), None) for i in range(draws)
+        (rng.normals(rng.derive_key(502, i), quad.dim), None) for i in range(20)
     ]
     rosen = Rosenbrock2D()
     yield rosen, [
-        (rng.normals(rng.derive_key(503, i), 2), None) for i in range(draws)
+        (rng.normals(rng.derive_key(503, i), 2), None) for i in range(20)
     ]
     logreg = LogisticRegression(num_features=5, num_classes=3)
     yield logreg, [
@@ -442,7 +448,7 @@ def default_problems_for_gradcheck(
             logreg.init_params(600 + i),
             _random_batch(rng.derive_key(504, i), 8, 5, 3),
         )
-        for i in range(draws)
+        for i in range(20)
     ]
     mlp = MLP1(num_features=6, num_classes=3, hidden=8)
     yield mlp, [
@@ -450,5 +456,5 @@ def default_problems_for_gradcheck(
             mlp.init_params(700 + i),
             _random_batch(rng.derive_key(505, i), 8, 6, 3),
         )
-        for i in range(draws)
+        for i in range(20)
     ]

@@ -47,29 +47,33 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def random_u64(key: int, n: int, start: int = 0) -> np.ndarray:
-    """Outputs ``start .. start+n-1`` of the stream for ``key``, as uint64."""
+def is_seed(x) -> bool:
+    """Whether ``x`` can key a stream: an integer, not a bool, in [0, 2**64)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**64
+
+
+def random_u64(key: int, n: int) -> np.ndarray:
+    """Outputs ``0 .. n-1`` of the stream for ``key``, as uint64."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    counters = np.arange(1, n + 1, dtype=np.uint64)
     z = np.uint64(key & _MASK) + counters * np.uint64(GOLDEN)
     return _mix64_array(z)
 
 
-def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
+def uniforms(key: int, n: int) -> np.ndarray:
     """n doubles in [0, 1), from the top 53 bits of each output."""
-    bits = random_u64(key, n, start)
+    bits = random_u64(key, n)
     return (bits >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
 
-def normals(key: int, n: int, start: int = 0) -> np.ndarray:
+def normals(key: int, n: int) -> np.ndarray:
     """n standard normal doubles via the Box-Muller transform.
 
-    Consumes 2*ceil(n/2) stream outputs beginning at ``start``; callers that
-    interleave draws must advance ``start`` accordingly.
+    Consumes the first 2*ceil(n/2) outputs of the stream for ``key``.
     """
     half = (n + 1) // 2
-    bits = random_u64(key, 2 * half, start)
+    bits = random_u64(key, 2 * half)
     # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1)
     u1 = ((bits[:half] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53_SCALE
     u2 = (bits[half:] >> np.uint64(11)).astype(np.float64) * _U53_SCALE

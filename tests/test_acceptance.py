@@ -93,7 +93,7 @@ def test_criterion_second_moment_lower_bound(acceptance_report):
 def test_criterion_gradient_oracle(acceptance_report):
     kinds = []
     draws = 0
-    for problem, evals in default_problems_for_gradcheck(draws=20):
+    for problem, evals in default_problems_for_gradcheck():
         evals = list(evals)
         kinds.append(problem.kind)
         draws += len(evals)

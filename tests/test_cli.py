@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from adafamily import checks
 from adafamily.checks import CHECKS
 from adafamily.cli import (
     OUT_DIR_ENV,
@@ -78,6 +80,37 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config_path}: ") and "[0, 2**64)" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_schedule_it_would_coerce(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    save_run_config_file(config_path, _small_config())
+    payload = json.loads(config_path.read_text())
+    payload["run"]["schedule"] = [[2.7, "0.5"]]
+    config_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and "integer milestone" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"version": 1, "note": "\u00d5"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("run", "directory"), ("run", "non-utf-8"), ("table", "directory"), ("table", "non-utf-8")],
+)
+def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, command, kind):
+    path = _unreadable(tmp_path, kind)
+    argv = ["run", "--config", str(path)] if command == "run" else ["table", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_run_writes_results_file(tmp_path, capsys):
@@ -203,6 +236,18 @@ def test_table_refuses_final_metric_other_than_last_eval(tmp_path, capsys, final
     assert main(["table", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and f"seed {run['seed']}" in err
+
+
+@pytest.mark.parametrize("seed", ["1", 1.0, True, -1])
+def test_table_refuses_a_run_seed_that_is_no_seed(tmp_path, capsys, seed):
+    payload = json.loads((FIXTURES / "smoke" / "blobs-mlp1--adam.json").read_text())
+    assert payload["results"][1]["seed"] == 1
+    payload["results"][1]["seed"] = seed
+    path = tmp_path / "blobs-mlp1--adam.json"
+    path.write_text(json.dumps(payload))
+    assert main(["table", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: seed {seed!r}: ") and "[0, 2**64)" in err
 
 
 def test_table_refuses_a_run_cut_short(tmp_path, capsys):
@@ -370,6 +415,44 @@ def test_check_filter_passes(capsys):
 def test_every_self_check_passes(name, check):
     passed, detail = check()
     assert passed, f"{name}: {detail}"
+
+
+def _nan_trajectory(config, grads, theta0, lr_scales=None):
+    return np.full((len(grads), theta0.shape[0]), np.nan).tolist()
+
+
+_real_step = checks.step
+
+
+def _step_leaving_v_nan(state, *args, **kwargs):
+    params = _real_step(state, *args, **kwargs)
+    state.v[:] = np.nan
+    return params
+
+
+_NAN_INJECTIONS = {
+    "trajectory": (
+        "trajectory",
+        _nan_trajectory,
+        ["endpoint-adamomentum", "endpoint-adam-eps-in-v", "endpoint-adabelief-eps-in-v"],
+    ),
+    "v": ("step", _step_leaving_v_nan, ["v-lower-bound"]),
+    "finite-difference": (
+        "finite_diff_grad",
+        lambda problem, params, batch=None: np.full(problem.dim, np.nan),
+        ["gradients"],
+    ),
+}
+
+
+@pytest.mark.parametrize("injection", _NAN_INJECTIONS)
+def test_a_nan_fails_the_checks_that_compare_it(monkeypatch, capsys, injection):
+    attr, fake, failing = _NAN_INJECTIONS[injection]
+    monkeypatch.setattr(checks, attr, fake)
+    for name in failing:
+        assert not dict(CHECKS)[name]()[0], name
+    assert main(["check", "--filter", failing[0]]) == 1
+    assert f"FAIL {failing[0]}" in capsys.readouterr().out
 
 
 def test_check_unknown_filter_fails(capsys):

@@ -21,7 +21,6 @@ from adafamily.harness import (
     _PROBLEM_BUILDERS,
     aggregate_result_files,
     build_problem,
-    canonical_row_key,
     default_lineup,
     load_results,
     lr_scale_sequence,
@@ -170,6 +169,26 @@ def test_run_config_dict_roundtrip_through_json():
     )
     wire = json.loads(json.dumps(config.to_dict()))
     assert RunConfig.from_dict(wire) == config
+
+
+@pytest.mark.parametrize(
+    "entry", [[2.7, 0.5], [2, "0.5"], ["2", 0.5], [True, 0.5], [2, True], [2, None]]
+)
+def test_run_config_refuses_schedule_entries_of_the_wrong_type(entry):
+    d = _quad_config(epochs=5).to_dict()
+    d["schedule"] = [entry]
+    with pytest.raises(ValueError, match="integer milestone, number factor"):
+        RunConfig.from_dict(d)
+    with pytest.raises(ValueError, match="integer milestone, number factor"):
+        _quad_config(epochs=5, schedule=(tuple(entry),))
+
+
+def test_from_dict_reads_an_integer_factor_as_a_float():
+    d = _quad_config(epochs=20).to_dict()
+    d["schedule"] = [[10, 1]]
+    config = RunConfig.from_dict(d)
+    assert config.schedule == ((10, 1.0),) and type(config.schedule[0][1]) is float
+    assert json.dumps(config.to_dict()["schedule"]) == "[[10, 1.0]]"
 
 
 def test_run_config_analytic_roundtrip_keeps_none_plan():
@@ -500,26 +519,18 @@ def test_sweep_mu_configs_on_analytic_problem():
     assert all(c.metric == "final_loss" for c in configs)
 
 
-def test_canonical_row_key_orders_lineup_then_unknown():
-    labels = [
-        "AdaFamily(1.0)",
-        "Zebra",
-        "Adam",
-        "AdaBelief",
-        "AdaFamily(0.0)",
-        "AdamW",
-        "AdaMomentum",
-    ]
-    ordered = sorted(labels, key=canonical_row_key)
-    assert ordered == [
-        "Adam",
-        "AdamW",
-        "AdaBelief",
-        "AdaMomentum",
-        "AdaFamily(0.0)",
-        "AdaFamily(1.0)",
-        "Zebra",
-    ]
+def test_grid_and_files_order_rows_by_lineup_whatever_the_config_order(tmp_path):
+    lineup = default_lineup()
+    shuffled = [lineup[i] for i in (8, 2, 5, 0, 7, 3, 1, 6, 4)]
+    configs = [_quad_config(epochs=1, optimizer=opt) for opt in shuffled]
+    expected = [opt.label for opt in lineup]
+    aggregates, _ = run_grid(configs)
+    assert [agg.label for agg in aggregates] == expected
+    paths = []
+    for i, config in enumerate(configs):
+        paths.append(tmp_path / f"{i}.json")
+        save_results(paths[-1], config, run_configs([config])[0])
+    assert [agg.label for agg in aggregate_result_files(paths)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +646,11 @@ def test_load_results_rejects_wrong_version(tmp_path):
     path = tmp_path / "cell.json"
     save_results(path, config, run_configs([config])[0])
     payload = json.loads(path.read_text())
-    payload["version"] = 999
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="version"):
-        load_results(path)
+    for version in (999, True, 1.0):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version"):
+            load_results(path)
 
 
 def test_load_results_rejects_missing_fields(tmp_path):

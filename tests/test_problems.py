@@ -288,7 +288,7 @@ def test_permutation_invariance():
 def test_gradient_check_all_kinds_20_draws():
     worst = 0.0
     kinds = []
-    for problem, pairs in default_problems_for_gradcheck(draws=20):
+    for problem, pairs in default_problems_for_gradcheck():
         kinds.append(problem.kind)
         for params, batch in pairs:
             _, analytic = problem.loss_grad(params, batch)
@@ -313,6 +313,14 @@ def test_relative_error_definition():
     assert relative_error(np.array([3.0]), np.array([1.0])) == pytest.approx(2.0 / 3.0)
     # floor kicks in for small values: |1e-9 - 0| / 1.0
     assert relative_error(np.array([1e-9]), np.array([0.0])) == pytest.approx(1e-9)
+
+
+def test_relative_error_propagates_nan_and_refuses_mismatched_shapes():
+    ones = np.ones((2, 2))
+    for a, b in ((ones, np.where(np.eye(2) > 0, np.nan, 1.0)), ([[1.0, np.nan]], [[1.0, 2.0]])):
+        assert math.isnan(relative_error(a, b)) and math.isnan(relative_error(b, a))
+    with pytest.raises(ValueError, match=r"shapes \(1, 2\) and \(2, 2\)"):
+        relative_error(np.array([[1.0, 2.0]]), ones)
 
 
 # -------------------------------------------------------------------------
