@@ -84,8 +84,8 @@ class BatchPlan:
     shuffle_seed: int
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         s = self.shuffle_seed
         if not rng.is_seed(s):
             raise ValueError(f"shuffle_seed must be an integer in [0, 2**64), got {s!r}")

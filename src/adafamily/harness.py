@@ -71,15 +71,23 @@ MLP_HIDDEN = 16
 
 @dataclass(frozen=True)
 class ProblemSetup:
-    """A problem plus its train/test data (None for analytic objectives)."""
+    """A problem plus its train/test data: non-empty splits for a problem
+    that takes batches, none for an analytic objective."""
 
     problem: Problem
     train: Dataset | None = None
     test: Dataset | None = None
 
+    def __post_init__(self) -> None:
+        splits = (self.train, self.test)
+        if not self.has_data and any(s is not None for s in splits):
+            raise ValueError(f"{self.problem.kind} is analytic and takes no data")
+        if self.has_data and not all(s is not None and s.n for s in splits):
+            raise ValueError(f"{self.problem.kind} needs non-empty train and test splits")
+
     @property
     def has_data(self) -> bool:
-        return self.train is not None
+        return self.problem.requires_batch
 
 
 def _build_quadratic() -> ProblemSetup:
@@ -157,8 +165,8 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
@@ -243,15 +251,22 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of a single (config, seed) training run."""
+    """Outcome of a single (config, seed) training run; its final_metric is
+    its last eval_metric, or None when it has a divergence_epoch."""
 
     seed: int
     train_loss: list[float]
     eval_metric: list[float]
-    final_metric: float | None
     elapsed_seconds: float
-    diverged: bool = False
     divergence_epoch: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_epoch is not None
+
+    @property
+    def final_metric(self) -> float | None:
+        return None if self.diverged else self.eval_metric[-1]
 
     def to_dict(self) -> dict:
         return {
@@ -266,13 +281,13 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
+        """Inverse of to_dict, but for the derived diverged and final_metric,
+        which `load_results` checks."""
         return cls(
             seed=d["seed"],
             train_loss=list(d["train_loss"]),
             eval_metric=list(d["eval_metric"]),
-            final_metric=d["final_metric"],
             elapsed_seconds=d["elapsed_seconds"],
-            diverged=d.get("diverged", False),
             divergence_epoch=d.get("divergence_epoch"),
         )
 
@@ -303,22 +318,17 @@ def lr_scale_sequence(
 
 def _evaluate(setup: ProblemSetup, params: np.ndarray) -> np.ndarray:
     """The metric of every row of an (R, dim) parameter stack, in one call:
-    top-1 error on the test split (on train when that is empty or absent),
-    or the loss of an analytic problem."""
+    top-1 error on the test split, or the loss of an analytic problem."""
     if not setup.has_data:
         return setup.problem.loss(params)
-    data = setup.test if setup.test is not None and setup.test.n else setup.train
-    predicted = setup.problem.predict(params, data.features)
-    return 100.0 * np.mean(predicted != data.labels, axis=-1)
+    predicted = setup.problem.predict(params, setup.test.features)
+    return 100.0 * np.mean(predicted != setup.test.labels, axis=-1)
 
 
 def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
-    if setup.has_data and config.batch_plan is None:
-        raise ValueError(f"problem {config.problem} needs a batch_plan")
-    if not setup.has_data and config.batch_plan is not None:
-        raise ValueError(
-            f"problem {config.problem} is analytic and takes no batch_plan"
-        )
+    if setup.has_data != (config.batch_plan is not None):
+        need = "needs a batch_plan" if setup.has_data else "is analytic and takes no batch_plan"
+        raise ValueError(f"problem {config.problem} {need}")
 
 
 # runs share a stack while (runs x problem dim) stays within this many
@@ -328,31 +338,14 @@ _STACK_PARAMS = 8192
 
 @dataclass
 class _Run:
-    """The training state of one (config, seed) run inside a group."""
+    """The training state of one (config, seed) run inside a group, and the
+    result its epochs fill in."""
 
     config: RunConfig
-    seed: int
     state: OptimizerState
     scales: list[float]
     plan: BatchPlan | None
-    train_loss: list[float] = field(default_factory=list)
-    eval_metric: list[float] = field(default_factory=list)
-    divergence_epoch: int | None = None
-
-    @property
-    def diverged(self) -> bool:
-        return self.divergence_epoch is not None
-
-    def result(self, elapsed_seconds: float) -> RunResult:
-        return RunResult(
-            seed=self.seed,
-            train_loss=self.train_loss,
-            eval_metric=self.eval_metric,
-            final_metric=None if self.diverged else self.eval_metric[-1],
-            elapsed_seconds=elapsed_seconds,
-            diverged=self.diverged,
-            divergence_epoch=self.divergence_epoch,
-        )
+    result: RunResult
 
 
 def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
@@ -366,10 +359,10 @@ def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
         )
     return _Run(
         config=config,
-        seed=seed,
         state=init_state(config.optimizer, dim),
         scales=lr_scale_sequence(config.schedule, config.epochs),
         plan=plan,
+        result=RunResult(seed=seed, train_loss=[], eval_metric=[], elapsed_seconds=0.0),
     )
 
 
@@ -381,10 +374,11 @@ def _train_group(
     Every step evaluates the whole stack in one `loss_grad` call and then
     steps each run on its own row; every epoch evaluates the stack in one
     call.  Rows never mix, so each run's numbers equal a group of one.  A
-    run whose loss or gradient turns non-finite is marked divergent and
-    leaves the stack at the end of that epoch, and so does a run whose
-    evaluation or mean training loss for the epoch is non-finite; a run
-    that completes its epochs leaves after its last evaluation.
+    run diverges in the epoch where `step` refuses its gradient as
+    non-finite, or where its mean training loss or its evaluation is
+    non-finite (a non-finite loss shows in that mean).  Once per epoch,
+    after the evaluation, diverged runs leave the stack, and so do runs
+    that have completed their epochs.
     """
     start = time.perf_counter()
     problem = setup.problem
@@ -398,65 +392,53 @@ def _train_group(
             else [None]
         )
         steppers = [
-            (run, run.state, run.config.optimizer, run.scales[epoch]) for run in stack
+            (run.result, run.state, run.config.optimizer, run.scales[epoch]) for run in stack
         ]
         loss_rows = []
         for batch in epoch_batches:
             losses, grads = problem.loss_grad(params, batch)
             loss_rows.append(losses)
-            for r, ((run, state, optimizer, scale), loss) in enumerate(
-                zip(steppers, losses.tolist())
-            ):
-                if run.diverged:
-                    continue
-                if not math.isfinite(loss):
-                    run.divergence_epoch = epoch
+            for r, (result, state, optimizer, scale) in enumerate(steppers):
+                if result.diverged:
                     continue
                 # step scans the gradient and raises before touching any state
                 try:
                     params[r] = step(state, params[r], grads[r], optimizer, lr_scale=scale)
                 except NonFiniteGradientError:
-                    run.divergence_epoch = epoch
+                    result.divergence_epoch = epoch
         # one contiguous (runs, batches) row per run: np.mean sums each row
         # exactly as it would sum that run's losses on their own
-        stack, params, epoch_losses = _leave(
-            stack, lambda run: not run.diverged, params, np.stack(loss_rows, axis=1)
-        )
-        if not stack:
-            break
-        train_losses = np.mean(epoch_losses, axis=1).tolist()
+        train_losses = np.mean(np.stack(loss_rows, axis=1), axis=1).tolist()
         values = _evaluate(setup, params).tolist()
-        for run, value, train_loss in zip(stack, values, train_losses):
-            if not (math.isfinite(value) and math.isfinite(train_loss)):
-                run.divergence_epoch = epoch
+        keep = []
+        for r, (run, value, train_loss) in enumerate(zip(stack, values, train_losses)):
+            result = run.result
+            if result.diverged:
                 continue
-            run.train_loss.append(train_loss)
-            run.eval_metric.append(value)
-        stack, params = _leave(
-            stack, lambda r: not r.diverged and len(r.train_loss) < r.config.epochs, params
-        )
-        if not stack:
+            if not (math.isfinite(value) and math.isfinite(train_loss)):
+                result.divergence_epoch = epoch
+                continue
+            result.train_loss.append(train_loss)
+            result.eval_metric.append(value)
+            if len(result.train_loss) < run.config.epochs:
+                keep.append(r)
+        if not keep:
             break
+        stack, params = [stack[r] for r in keep], params[keep]
 
     elapsed = (time.perf_counter() - start) / len(runs)
     for run in runs:
+        result = run.result
+        result.elapsed_seconds = elapsed
         log.info(
             "run %s/%s seed=%d: lr scales %s, %s",
             run.config.problem,
             run.config.optimizer.label,
-            run.seed,
+            result.seed,
             run.scales,
-            "diverged at epoch %s" % run.divergence_epoch if run.diverged else "ok",
+            "diverged at epoch %s" % result.divergence_epoch if result.diverged else "ok",
         )
-    return [run.result(elapsed) for run in runs]
-
-
-def _leave(stack: list[_Run], stays: Callable[[_Run], bool], *rows: np.ndarray):
-    """The runs that stay in the stack, then their rows of each array."""
-    keep = [r for r, run in enumerate(stack) if stays(run)]
-    if len(keep) == len(stack):
-        return (stack, *rows)
-    return ([stack[r] for r in keep], *(a[keep] for a in rows))
+    return [run.result for run in runs]
 
 
 def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
@@ -670,10 +652,11 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     try:
         config = RunConfig.from_dict(payload["config"])
         results = [RunResult.from_dict(r) for r in payload["results"]]
+        stored = [(r.get("diverged", False), r["final_metric"]) for r in payload["results"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
-    for r in results:
-        contradiction = _contradiction(r, config.epochs)
+    for r, (diverged, final) in zip(results, stored):
+        contradiction = _contradiction(r, diverged, final, config.epochs)
         if contradiction:
             raise ValueError(f"{path}: seed {r.seed!r}: {contradiction}")
     seeds = sorted(r.seed for r in results)
@@ -688,12 +671,15 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _contradiction(r: RunResult, epochs: int) -> str | None:
-    """How a loaded run contradicts itself or its config's epochs, if it does."""
+def _contradiction(r: RunResult, diverged, final, epochs: int) -> str | None:
+    """How a loaded run, stored with ``diverged`` and ``final``, contradicts
+    itself or its config's epochs, if it does."""
     if not rng.is_seed(r.seed):
         return "not an integer in [0, 2**64)"
-    final, stop = r.final_metric, r.divergence_epoch
-    if r.diverged:
+    stop = r.divergence_epoch
+    if type(diverged) is not bool:
+        return f"diverged {diverged!r} is not a bool"
+    if diverged:
         if final is not None:
             return f"final_metric {final!r} is not null, the run diverged"
         if isinstance(stop, bool) or not isinstance(stop, int) or not 0 <= stop < epochs:
@@ -703,7 +689,7 @@ def _contradiction(r: RunResult, epochs: int) -> str | None:
             return f"final_metric {final!r} is not its last eval_metric"
         if stop is not None:
             return f"divergence_epoch {stop!r} of a completed run is not null"
-    recorded = stop if r.diverged else epochs
+    recorded = stop if diverged else epochs
     if not len(r.train_loss) == len(r.eval_metric) == recorded:
         return (
             f"train_loss and eval_metric hold {len(r.train_loss)} and "

@@ -87,6 +87,9 @@ class OptimizerConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("mu", "alpha", "beta1", "beta2", "epsilon", "weight_decay"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not 0.0 < self.alpha < math.inf:

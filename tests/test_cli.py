@@ -17,6 +17,7 @@ from adafamily.cli import (
     main,
     save_run_config_file,
 )
+from adafamily.data import BatchPlan
 from adafamily.harness import RunConfig, load_results
 from adafamily.optim import Algorithm, OptimizerConfig
 
@@ -79,6 +80,31 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config_path}: ") and "[0, 2**64)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("batch_plan", "batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
+        (None, "epochs", True, "epochs must be an integer >= 1, got True"),
+        ("optimizer", "mu", True, "mu must be a number, got True"),
+    ],
+    ids=["batch_size-2.5", "epochs-true", "mu-true"],
+)
+def test_run_refuses_config_numbers_of_the_wrong_type(
+    tmp_path, capsys, section, key, value, message
+):
+    plan = BatchPlan(batch_size=32, shuffle_seed=12345)
+    config_path = tmp_path / "config.json"
+    save_run_config_file(config_path, _small_config(problem="blobs-logreg", batch_plan=plan))
+    payload = json.loads(config_path.read_text())
+    run = payload["run"]
+    (run if section is None else run[section])[key] = value
+    config_path.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

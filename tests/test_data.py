@@ -50,6 +50,9 @@ def test_dataset_validates_labels():
 def test_batch_plan_validation():
     with pytest.raises(ValueError):
         BatchPlan(batch_size=0, shuffle_seed=1)
+    for size in (True, 4.0, 2.5, "4"):
+        with pytest.raises(ValueError, match=rf"batch_size must be an integer >= 1, got {size!r}"):
+            BatchPlan(batch_size=size, shuffle_seed=1)
     for seed in (-1, 2**64, 0.5, "1", True):
         with pytest.raises(ValueError, match=r"integer in \[0, 2\*\*64\)"):
             BatchPlan(batch_size=4, shuffle_seed=seed)

@@ -152,6 +152,9 @@ def test_run_config_rejects_seeds_it_cannot_run(seed):
 def test_run_config_rejects_bad_epochs_and_seeds():
     with pytest.raises(ValueError):
         _quad_config(epochs=0)
+    for epochs in (True, 2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match=rf"epochs must be an integer >= 1, got {epochs!r}"):
+            _quad_config(epochs=epochs)
     with pytest.raises(ValueError):
         _quad_config(seeds=())
 
@@ -311,22 +314,26 @@ def test_from_dict_loads_a_stored_metric_and_drop_last_only_where_derived():
                 RunConfig.from_dict(d)
 
 
-def test_top1_error_falls_back_to_train_without_a_test_split():
-    base = build_problem("blobs-logreg")
-    empty = Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), num_classes=3)
-    tests = {"on-train": base.train, "no-test": None, "empty-test": empty}
-    for name, test in tests.items():
-        register_problem(
-            name, lambda test=test: ProblemSetup(base.problem, train=base.train, test=test)
-        )
-    try:
-        runs = run_configs([_blobs_config(problem=name, seeds=(0, 1)) for name in tests])
-        assert [r.eval_metric for r in runs[0]] == [r.eval_metric for r in runs[1]]
-        assert [r.eval_metric for r in runs[0]] == [r.eval_metric for r in runs[2]]
-    finally:
-        for name in tests:
-            del _PROBLEM_BUILDERS[name]
-        build_problem.cache_clear()
+@pytest.mark.parametrize(
+    "problem, train, test, message",
+    [
+        ("blobs-mlp1", None, "test", "mlp1 needs non-empty train and test splits"),
+        ("blobs-mlp1", "train", None, "mlp1 needs non-empty train and test splits"),
+        ("blobs-mlp1", "train", "empty", "mlp1 needs non-empty train and test splits"),
+        ("quadratic", "train", "test", "quadratic is analytic and takes no data"),
+    ],
+    ids=["mlp1-no-train", "mlp1-no-test", "mlp1-empty-test", "quadratic-given-data"],
+)
+def test_problem_setup_refuses_data_that_contradicts_its_problem(problem, train, test, message):
+    blobs = build_problem("blobs-mlp1")
+    splits = {
+        None: None,
+        "train": blobs.train,
+        "test": blobs.test,
+        "empty": Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), num_classes=3),
+    }
+    with pytest.raises(ValueError, match=message):
+        ProblemSetup(build_problem(problem).problem, train=splits[train], test=splits[test])
 
 
 def test_dataset_problem_requires_batch_plan():
@@ -733,6 +740,18 @@ _CONTRADICTIONS = {
 }
 
 
+@pytest.mark.parametrize("diverged", [0, None, "false"])
+def test_load_results_refuses_a_diverged_flag_that_is_no_bool(tmp_path, diverged):
+    config = _quad_config(epochs=2, seeds=(0, 1))
+    path = tmp_path / "cell.json"
+    save_results(path, config, run_configs([config])[0])
+    payload = json.loads(path.read_text())
+    payload["results"][1]["diverged"] = diverged
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"cell.json: seed 1: diverged {diverged!r} is not a bool"):
+        load_results(path)
+
+
 @pytest.mark.parametrize("case", _CONTRADICTIONS)
 def test_load_results_refuses_runs_that_contradict_the_config(tmp_path, case):
     edit, message = _CONTRADICTIONS[case]
@@ -823,10 +842,7 @@ def test_aggregate_result_files_rejects_configs_differing_beyond_seeds(tmp_path)
 
 def test_save_results_writes_strict_json_only(tmp_path):
     config = _quad_config(epochs=1)
-    bad = RunResult(
-        seed=0, train_loss=[1.0], eval_metric=[math.inf], final_metric=math.inf,
-        elapsed_seconds=0.0,
-    )
+    bad = RunResult(seed=0, train_loss=[1.0], eval_metric=[math.inf], elapsed_seconds=0.0)
     path = tmp_path / "r.json"
     with pytest.raises(ValueError, match="JSON compliant"):
         save_results(path, config, [bad])
@@ -852,9 +868,7 @@ def test_run_result_dict_roundtrip():
         seed=4,
         train_loss=[1.0, 0.5],
         eval_metric=[10.0, 5.0],
-        final_metric=5.0,
         elapsed_seconds=0.25,
-        diverged=False,
         divergence_epoch=None,
     )
     assert RunResult.from_dict(result.to_dict()) == result
@@ -874,15 +888,16 @@ def test_aggregate_result_is_plain_data():
 class _CliffMLP(MLP1):
     """MLP1 whose stacked rows turn non-finite once a parameter passes ``cliff``.
 
-    Past the cliff the gradient is NaN, and so is the loss unless
-    ``finite_loss`` is set.  Records the 0-based index of the first call
-    with such a row.
+    Past the cliff the loss is NaN if ``nan_loss`` is set, and the gradient
+    if ``nan_grad`` is.  Records the 0-based index of the first call with
+    such a row.
     """
 
-    def __init__(self, cliff, finite_loss):
+    def __init__(self, cliff, nan_loss, nan_grad):
         super().__init__(8, 3, hidden=4)
         self.cliff = cliff
-        self.finite_loss = finite_loss
+        self.nan_loss = nan_loss
+        self.nan_grad = nan_grad
         self.calls = 0
         self.first_cliff_call = None
 
@@ -892,8 +907,9 @@ class _CliffMLP(MLP1):
         if past.any() and self.first_cliff_call is None:
             self.first_cliff_call = self.calls
         self.calls += 1
-        grads[past] = np.nan
-        if not self.finite_loss:
+        if self.nan_grad:
+            grads[past] = np.nan
+        if self.nan_loss:
             losses[past] = np.nan
         return losses, grads
 
@@ -904,12 +920,12 @@ def _payload(result):
     return json.dumps(d, sort_keys=True)
 
 
-def _blobs_cliff(name, finite_loss):
+def _blobs_cliff(name, nan_loss, nan_grad):
     base = build_problem("blobs-mlp1")
     register_problem(
         name,
         lambda: ProblemSetup(
-            problem=_CliffMLP(cliff=1.5, finite_loss=finite_loss),
+            problem=_CliffMLP(cliff=1.5, nan_loss=nan_loss, nan_grad=nan_grad),
             train=base.train,
             test=base.test,
         ),
@@ -917,9 +933,16 @@ def _blobs_cliff(name, finite_loss):
 
 
 def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind():
-    names = ("cliff-nan-loss", "cliff-nan-grad")
-    _blobs_cliff(names[0], finite_loss=False)
-    _blobs_cliff(names[1], finite_loss=True)
+    # (nan_loss, nan_grad) past the cliff; a NaN loss with a finite gradient
+    # shows only in the epoch's mean training loss
+    modes = {
+        "cliff-nan-loss": (True, True),
+        "cliff-nan-grad": (False, True),
+        "cliff-nan-loss-only": (True, False),
+    }
+    names = tuple(modes)
+    for name, (nan_loss, nan_grad) in modes.items():
+        _blobs_cliff(name, nan_loss=nan_loss, nan_grad=nan_grad)
     try:
         plan = BatchPlan(batch_size=32, shuffle_seed=99)
         fast = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=0.05)

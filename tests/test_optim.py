@@ -413,6 +413,13 @@ def test_nonfinite_lr_scale_rejected(scale):
         dict(epsilon=float("inf")),
         dict(weight_decay=float("nan")),
         dict(weight_decay=float("inf")),
+        # bools the range checks alone would pass
+        dict(mu=True),
+        dict(alpha=True),
+        dict(beta1=False),
+        dict(beta2=False),
+        dict(epsilon=True),
+        dict(weight_decay=False),
     ],
 )
 def test_config_validation_rejects(kw):
