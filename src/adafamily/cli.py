@@ -69,9 +69,9 @@ def save_run_config_file(path: str | Path, config: RunConfig) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_run_config_file(args.config)
+    results = run_configs([config])[0]
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = run_configs([config])[0]
     out_path = out_dir / _results_filename(config)
     save_results(out_path, config, results)
     divergent = sum(r.diverged for r in results)
@@ -95,9 +95,9 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
+    aggregates, cells = run_grid(configs)
     out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    aggregates, cells = run_grid(configs)
     for config in configs:
         # each config of the sweep is a cell of its own
         path = out_dir / _results_filename(config)

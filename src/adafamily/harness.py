@@ -221,6 +221,8 @@ class RunConfig:
         """Inverse of to_dict.  A stored metric (absent reads as 'final_loss')
         must be the derived one, a stored drop_last must be false, and an int
         schedule factor reads as a float."""
+        if not isinstance(d, dict):
+            raise TypeError(f"a run config must be a JSON object, got {d!r}")
         plan = d.get("batch_plan")
         config = cls(
             problem=d["problem"],
@@ -329,6 +331,11 @@ def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
     if setup.has_data != (config.batch_plan is not None):
         need = "needs a batch_plan" if setup.has_data else "is analytic and takes no batch_plan"
         raise ValueError(f"problem {config.problem} {need}")
+    if setup.has_data and config.batch_plan.batch_size > setup.train.n:
+        raise ValueError(
+            f"batch_size {config.batch_plan.batch_size} exceeds the "
+            f"{setup.train.n} training samples of problem {config.problem}"
+        )
 
 
 # runs share a stack while (runs x problem dim) stays within this many
@@ -636,7 +643,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -132,6 +132,8 @@ class OptimizerConfig:
     def from_dict(cls, d: dict) -> "OptimizerConfig":
         """Inverse of to_dict.  A stored decay_mode must be the derived one or,
         with weight_decay 0, the algorithm's placement; it may be absent."""
+        if not isinstance(d, dict):
+            raise TypeError(f"optimizer must be a JSON object, got {d!r}")
         fields = dict(d)
         fields["algorithm"] = Algorithm(fields["algorithm"])
         fields.pop("decay_mode", None)

@@ -14,8 +14,8 @@ roughly 1e-15 per element.
 Every evaluation also takes a stack of R parameter vectors, one per run,
 and computes each row independently: row r of a stacked call equals the
 single-run call byte for byte.  `Problem.loss` and `Problem.loss_grad`
-check every call and treat a 1-D call as the one-row stack; subclasses
-evaluate stacks only.  The two classifiers share one softmax head, whose
+check every call and treat a 1-D call as the one-row stack; every problem
+evaluates stacks only.  The two classifiers share one softmax head, whose
 `loss` runs no backward pass (see `Problem` and docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
@@ -42,9 +42,8 @@ class Problem:
     row r (with row r of the batch when the batch is stacked too).
 
     `loss` and `loss_grad` check the call and evaluate a 1-D call as the
-    one-row stack.  A subclass evaluates (R, dim) stacks in `_loss_grad`,
-    whose default loops over the rows with `row_loss_grad`, and may give
-    `_loss` a forward-only path.
+    one-row stack.  A subclass evaluates (R, dim) stacks in `_loss_grad`
+    and may give `_loss` a forward-only path.
     """
 
     kind: str = "abstract"
@@ -67,15 +66,7 @@ class Problem:
     def _loss_grad(
         self, stack: np.ndarray, batch: Batch | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        losses, grad = np.empty(len(stack)), np.empty(stack.shape)
-        for r, row in enumerate(stack):
-            losses[r], grad[r] = self.row_loss_grad(row, _batch_row(batch, r))
-        return losses, grad
-
-    def row_loss_grad(
-        self, params: np.ndarray, batch: Batch | None
-    ) -> tuple[float, np.ndarray]:
-        """Loss and gradient of one (dim,) row; called after `_check_eval`."""
+        """(R,) losses and the (R, dim) gradient of an (R, dim) stack."""
         raise NotImplementedError
 
     def init_params(self, seed: int) -> np.ndarray:
@@ -96,12 +87,6 @@ class Problem:
                     f"a stack of {batch.features.shape[0]} batches needs as many "
                     f"parameter rows, got shape {params.shape}"
                 )
-
-
-def _batch_row(batch: Batch | None, r: int) -> Batch | None:
-    if batch is None or batch.features.ndim == 2:
-        return batch
-    return Batch(features=batch.features[r], labels=batch.labels[r])
 
 
 class Quadratic(Problem):
@@ -135,10 +120,15 @@ class Quadratic(Problem):
         """f at the minimizer: -0.5 b'A^{-1}b."""
         return -0.5 * float(self.rhs @ self._optimum)
 
-    def row_loss_grad(self, params, batch):
-        a_theta = self.matrix @ params
-        loss = 0.5 * float(params @ a_theta) - float(self.rhs @ params)
-        return loss, a_theta - self.rhs
+    def _loss_grad(self, stack, batch):
+        # matmul makes one gemv per row, as A @ row does; stack @ A' would be
+        # one gemm, which rounds differently.  Far from the optimum the terms
+        # overflow to inf, inf - inf gives NaN, and the run diverges.
+        rows = stack[:, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_theta = np.matmul(self.matrix, stack[:, :, None])
+            losses = 0.5 * (rows @ a_theta)[:, 0, 0] - (rows @ self.rhs[:, None])[:, 0, 0]
+            return losses, a_theta[:, :, 0] - self.rhs
 
     def init_params(self, seed: int) -> np.ndarray:
         # documented fixed start: the origin, independent of seed
@@ -152,17 +142,15 @@ class Rosenbrock2D(Problem):
     dim = 2
     START = (-1.2, 1.0)
 
-    def row_loss_grad(self, params, batch):
-        x, y = float(params[0]), float(params[1])
-        inner = y - x * x
-        try:
-            loss = (1.0 - x) ** 2 + 100.0 * inner**2
-        except OverflowError:
-            # float ** raises where x * x overflows to inf; the run diverges
-            loss = math.inf
-        gx = -2.0 * (1.0 - x) - 400.0 * x * inner
-        gy = 200.0 * inner
-        return loss, np.array([gx, gy])
+    def _loss_grad(self, stack, batch):
+        # squares are products (d * d, not d ** 2), which round correctly
+        # where libm pow may not.  Far from the valley the terms overflow to
+        # inf and the run diverges.
+        x, y = stack[:, 0], stack[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, inner = 1.0 - x, y - x * x
+            losses = d * d + 100.0 * (inner * inner)
+            return losses, np.stack([-2.0 * d - 400.0 * x * inner, 200.0 * inner], axis=1)
 
     def init_params(self, seed: int) -> np.ndarray:
         # documented fixed start: the conventional (-1.2, 1.0)

@@ -89,8 +89,9 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
         ("batch_plan", "batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
         (None, "epochs", True, "epochs must be an integer >= 1, got True"),
         ("optimizer", "mu", True, "mu must be a number, got True"),
+        (None, "optimizer", [["algorithm", "adam"]], "optimizer must be a JSON object"),
     ],
-    ids=["batch_size-2.5", "epochs-true", "mu-true"],
+    ids=["batch_size-2.5", "epochs-true", "mu-true", "optimizer-pairs"],
 )
 def test_run_refuses_config_numbers_of_the_wrong_type(
     tmp_path, capsys, section, key, value, message
@@ -120,23 +121,38 @@ def test_run_refuses_a_schedule_it_would_coerce(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _unreadable(tmp_path, kind):
+_NOT_AN_OBJECT = {"section-list": [], "section-string": "x", "section-null": None}
+
+
+def _unreadable(tmp_path, command, kind):
     if kind == "directory":
         return tmp_path
-    path = tmp_path / "latin1.json"
-    path.write_bytes('{"version": 1, "note": "\u00d5"}'.encode("latin-1"))
+    path = tmp_path / "input.json"
+    if kind == "non-utf-8":
+        path.write_bytes('{"version": 1, "note": "\u00d5"}'.encode("latin-1"))
+    else:
+        # the config's section is "run" in a run-config file, "config" in a results file
+        section = "run" if command == "run" else "config"
+        path.write_text(json.dumps({"version": 1, section: _NOT_AN_OBJECT[kind]}))
     return path
 
 
 @pytest.mark.parametrize(
     "command, kind",
-    [("run", "directory"), ("run", "non-utf-8"), ("table", "directory"), ("table", "non-utf-8")],
+    [
+        (command, kind)
+        for command in ("run", "table")
+        for kind in ("directory", "non-utf-8", *_NOT_AN_OBJECT)
+    ],
 )
 def test_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, command, kind):
-    path = _unreadable(tmp_path, kind)
+    path = _unreadable(tmp_path, command, kind)
     argv = ["run", "--config", str(path)] if command == "run" else ["table", str(path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if kind in _NOT_AN_OBJECT:
+        assert "malformed" in err and "must be a JSON object" in err
 
 
 def test_run_writes_results_file(tmp_path, capsys):
@@ -383,6 +399,7 @@ def test_sweep_mu_invalid_mus(tmp_path, capsys, mus):
 
 
 def test_sweep_mu_repeated_mu_fails_before_training(tmp_path, capsys):
+    out = tmp_path / "out"
     code = main(
         [
             "sweep-mu",
@@ -395,13 +412,30 @@ def test_sweep_mu_repeated_mu_fails_before_training(tmp_path, capsys):
             "--epochs",
             "1",
             "--out",
-            str(tmp_path),
+            str(out),
         ]
     )
     assert code == 1
     err = capsys.readouterr().err
     assert "config 5: seed 0 of AdaFamily(0.5) on quadratic repeats one from config 4" in err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-mu"])
+def test_a_batch_larger_than_the_training_split_fails_before_training(
+    tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        plan = BatchPlan(batch_size=5000, shuffle_seed=12345)
+        save_run_config_file(config_path, _small_config(problem="blobs-logreg", batch_plan=plan))
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = ["sweep-mu", "--mus", "0.5", "--problem", "blobs-logreg", "--batch-size", "5000"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "batch_size 5000 exceeds the 480 training samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_mu_rejects_zero_seeds(tmp_path, capsys):
@@ -484,6 +518,36 @@ def test_a_nan_fails_the_checks_that_compare_it(monkeypatch, capsys, injection):
 def test_check_unknown_filter_fails(capsys):
     assert main(["check", "--filter", "zzz-not-a-check"]) == 1
     assert "no check matches" in capsys.readouterr().out
+
+
+_WRITE_DIVERGENT_TABLE = """
+import sys
+from adafamily.harness import AggregateResult, write_text_atomic
+from adafamily.tables import emit_table
+row = AggregateResult("Adam", {"quadratic": 1.5}, {"quadratic": 1}, {"quadratic": 2})
+write_text_atomic(sys.argv[1], emit_table([row], "md"))
+"""
+
+
+def test_tables_are_written_as_utf_8_under_an_ascii_locale(tmp_path):
+    # the C locale's encoding is ASCII, which has no divergence dagger
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+    )
+    path = tmp_path / "table.md"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRITE_DIVERGENT_TABLE, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = path.read_bytes().decode("utf-8")
+    assert "**1.50**\u2020" in table and "1 of 2 runs diverged" in table
 
 
 def test_console_entry_point_runs():

@@ -378,11 +378,10 @@ class _CliffProblem(Problem):
     def init_params(self, seed):
         return np.zeros(1)
 
-    def row_loss_grad(self, params, batch):
-        if params[0] > self.cliff:
-            loss = -float(params[0]) if self.finite_loss else float("nan")
-            return loss, np.array([float("nan")])
-        return -float(params[0]), np.array([-1.0])
+    def _loss_grad(self, stack, batch):
+        past = stack[:, 0] > self.cliff
+        losses = np.where(past & (not self.finite_loss), np.nan, -stack[:, 0])
+        return losses, np.where(past, np.nan, -1.0)[:, None]
 
 
 def _register_cliff(name, cliff, finite_loss=False):
@@ -1039,7 +1038,14 @@ def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call():
         with pytest.raises(ValueError, match="config 1: config of Adam on count-rule "
                            "differs from config 0 in epochs"):
             run_grid([base, longer])
+        n = build_problem("count-rule").train.n
+        whole = dataclasses.replace(family, problem="count-rule", batch_plan=BatchPlan(n, 1))
+        too_big = dataclasses.replace(whole, batch_plan=BatchPlan(n + 1, 1))
+        with pytest.raises(ValueError, match=f"batch_size {n + 1} exceeds the {n} training"):
+            run_grid([base, too_big])
         assert counting.heights == []
+        run_grid([whole])
+        assert counting.heights == [1, 1]
     finally:
         del _PROBLEM_BUILDERS["count-rule"]
         build_problem.cache_clear()

@@ -7,6 +7,7 @@ import pytest
 
 from adafamily import rng
 from adafamily.data import Batch
+from adafamily.harness import build_problem
 from adafamily.problems import (
     LogisticRegression,
     MLP1,
@@ -110,7 +111,7 @@ def test_rosenbrock_fixed_start():
 
 
 def test_rosenbrock_overflow_gives_infinite_loss():
-    # Python float ** raises OverflowError here; the loss reads inf instead
+    # x * x overflows to inf without a warning, and so does the loss
     r = Rosenbrock2D()
     loss, grad = r.loss_grad(np.array([1e200, 1.0]))
     assert loss == math.inf
@@ -390,15 +391,47 @@ def test_stacked_predict_rows_equal_single_calls():
             )[r].tobytes()
 
 
-def test_analytic_problems_loop_over_stacked_rows():
-    for problem in (spd_quadratic(11, 5, 30.0), Rosenbrock2D()):
-        params = rng.normals(rng.derive_key(12, problem.dim), 3 * problem.dim)
-        params = params.reshape(3, problem.dim)
-        losses, grads = problem.loss_grad(params)
-        for r, row in enumerate(params):
+def _analytic_row_reference(problem, row):
+    # the per-row formulas: A @ row is one gemv, and Python floats round each
+    # operation as numpy's elementwise calls do, overflowing without raising
+    if isinstance(problem, Quadratic):
+        a_theta = problem.matrix @ row
+        return 0.5 * float(row @ a_theta) - float(problem.rhs @ row), a_theta - problem.rhs
+    x, y = float(row[0]), float(row[1])
+    d, inner = 1.0 - x, y - x * x
+    return d * d + 100.0 * (inner * inner), np.array([-2.0 * d - 400.0 * x * inner, 200.0 * inner])
+
+
+def _analytic_stacks():
+    registered = build_problem("quadratic").problem
+    gradcheck = next(default_problems_for_gradcheck())[0]
+    for problem in (registered, gradcheck, Rosenbrock2D()):
+        for r in (1, 2, 9, 45, 90):
+            key = rng.derive_key(12, 100 * r + problem.dim)
+            stack = 3.0 * rng.normals(key, r * problem.dim).reshape(r, problem.dim)
+            if problem.dim == 2:
+                # rows scaled up to 1e300, where x * x and the loss overflow
+                stack *= 10.0 ** (np.arange(r) * 300 // max(r - 1, 1))[:, None]
+            yield problem, stack
+
+
+def test_analytic_stacked_rows_equal_single_calls_and_row_formulas():
+    overflowed = 0
+    for problem, stack in _analytic_stacks():
+        losses, grads = problem.loss_grad(stack)
+        assert losses.shape == (len(stack),) and grads.shape == stack.shape
+        assert problem.loss(stack).tobytes() == losses.tobytes()
+        overflowed += int(np.isinf(losses).sum())
+        for r, row in enumerate(stack):
             loss, grad = problem.loss_grad(row)
-            assert losses[r] == loss and grad.tobytes() == grads[r].tobytes()
-        assert problem.loss(params).tolist() == losses.tolist()
+            assert isinstance(loss, float)
+            assert np.float64(loss).tobytes() == losses[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
+            assert np.float64(problem.loss(row)).tobytes() == losses[r].tobytes()
+            ref_loss, ref_grad = _analytic_row_reference(problem, row)
+            assert np.float64(ref_loss).tobytes() == losses[r].tobytes()
+            assert ref_grad.tobytes() == grads[r].tobytes()
+    assert overflowed > 0
 
 
 def test_stacked_batch_needs_one_parameter_row_per_batch():

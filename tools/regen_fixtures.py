@@ -83,7 +83,7 @@ def write_smoke_results() -> list[Path]:
 
 def write_golden_table(paths: list[Path]) -> None:
     table = emit_table(aggregate_result_files(sorted(paths)), "csv")
-    (FIXTURES / "golden_table.csv").write_text(table)
+    (FIXTURES / "golden_table.csv").write_text(table, encoding="utf-8")
 
 
 def reference_quadratic() -> dict:
@@ -143,7 +143,7 @@ def write_reference_runs() -> None:
         "blobs_logreg": reference_blobs_logreg(),
     }
     (FIXTURES / "reference_runs.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
