@@ -42,7 +42,7 @@ def walk_one_step():
     vhat = v1 / (1 - config.beta2)
     by_hand = params - config.alpha * mhat / np.sqrt(vhat)
 
-    state = init_state(config, 2)
+    state = init_state(2)
     stepped = step(state, params, grad, config)
 
     print(f"gradient        {grad}")
@@ -62,7 +62,7 @@ def sweep_blend():
     print(f"{'mu':>5}  {'c(mu)':>6}  first-step displacement")
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
         config = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=mu)
-        state = init_state(config, 2)
+        state = init_state(2)
         moved = step(state, np.zeros(2), grad, config)
         print(f"{mu:5.2f}  {normalization_factor(mu):6.2f}  {moved}")
     print()

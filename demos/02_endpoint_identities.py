@@ -52,7 +52,7 @@ def main():
     print("root at readout.  With tiny gradients the accumulated floor")
     print("dominates and the two visibly part ways:")
     config = af(0.0)
-    state = init_state(config, 1)
+    state = init_state(1)
     params = np.zeros(1)
     tiny = np.full(1, 1e-9)
     for _ in range(200):

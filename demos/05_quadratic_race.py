@@ -11,7 +11,7 @@ from adafamily.optim import init_state, step
 
 
 def race(problem, config, budget=20000, threshold=1e-6):
-    state = init_state(config, problem.dim)
+    state = init_state(problem.dim)
     params = problem.init_params(0)
     first_below = None
     for t in range(1, budget + 1):

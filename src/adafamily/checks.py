@@ -265,7 +265,7 @@ def trajectory(
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
     """Drive the vectorized step rule over a gradient sequence."""
-    state = init_state(config, theta0.shape[0])
+    state = init_state(theta0.shape[0])
     params = theta0.astype(np.float64).copy()
     out = []
     for t, g in enumerate(grads):
@@ -349,7 +349,7 @@ def check_v_lower_bound() -> tuple[bool, str]:
     worst_margin = np.inf
     for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
         config = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=mu, epsilon=eps, beta2=beta2)
-        state = init_state(config, dim)
+        state = init_state(dim)
         params = np.zeros(dim)
         grads = rng.normals(rng.derive_key(15, int(mu * 100)), steps * dim).reshape(steps, dim)
         for g in grads:
@@ -376,13 +376,15 @@ def check_determinism() -> tuple[bool, str]:
 
 
 def check_state_size() -> tuple[bool, str]:
+    # a fresh state belongs to no algorithm, so check the state a step leaves
     dim = 17
     for algorithm in Algorithm:
-        config = OptimizerConfig(algorithm=algorithm)
-        state = init_state(config, dim)
-        reals = state.m.size + state.v.size
-        if reals != 2 * dim:
-            return False, f"{algorithm.value} uses {reals} reals"
+        state = init_state(dim)
+        step(state, np.zeros(dim), rng.normals(18, dim), OptimizerConfig(algorithm=algorithm))
+        arrays = [name for name, a in vars(state).items() if isinstance(a, np.ndarray)]
+        reals = sum(getattr(state, name).size for name in arrays)
+        if arrays != ["m", "v"] or reals != 2 * dim:
+            return False, f"{algorithm.value} holds {arrays} with {reals} reals"
     return True, f"every algorithm stores exactly 2*d auxiliary reals (d={dim})"
 
 

@@ -22,9 +22,11 @@ from .harness import (
     DESK_BATCH_SIZE,
     DESK_EPOCHS,
     RunConfig,
+    _check_runnable,
     _read_json_file,
     _write_json_file,
     aggregate_result_files,
+    build_problem,
     problem_names,
     run_configs,
     run_grid,
@@ -56,11 +58,14 @@ def _results_filename(config: RunConfig) -> str:
 
 
 def load_run_config_file(path: str | Path) -> RunConfig:
+    """The run config in ``path``, refused (naming the path) unless runnable."""
     payload = _read_json_file(path, CONFIG_VERSION)
     try:
-        return RunConfig.from_dict(payload["run"])
+        config = RunConfig.from_dict(payload["run"])
+        _check_runnable(config, build_problem(config.problem))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed run config ({exc})") from None
+    return config
 
 
 def save_run_config_file(path: str | Path, config: RunConfig) -> None:
@@ -86,6 +91,9 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
         raise ValueError(f"--mus must be a comma-separated float list, got {args.mus!r}")
     if not mus:
         raise ValueError("--mus is empty")
+    for i, mu in enumerate(mus):
+        if mu in mus[:i]:
+            raise ValueError(f"--mus repeats {mu}")
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     configs = sweep_mu_configs(
@@ -105,15 +113,25 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
     table = emit_table(aggregates, args.format)
     table_path = out_dir / f"sweep_{args.problem}.{args.format}"
     write_text_atomic(table_path, table)
-    print(table, end="")
+    _print_table(table)
     print(f"\nwrote {len(configs)} results files and {table_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     aggregates = aggregate_result_files(args.files)
-    print(emit_table(aggregates, args.format), end="")
+    _print_table(emit_table(aggregates, args.format))
     return 0
+
+
+def _print_table(table: str) -> None:
+    """Print ``table`` as UTF-8 whatever the locale, whose encoding may lack
+    the divergence dagger; a stream without a byte buffer takes the text."""
+    sys.stdout.flush()
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.buffer.write(table.encode("utf-8"))
+    else:
+        sys.stdout.write(table)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -366,7 +366,7 @@ def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
         )
     return _Run(
         config=config,
-        state=init_state(config.optimizer, dim),
+        state=init_state(dim),
         scales=lr_scale_sequence(config.schedule, config.epochs),
         plan=plan,
         result=RunResult(seed=seed, train_loss=[], eval_metric=[], elapsed_seconds=0.0),

@@ -11,14 +11,14 @@ what gets squared into the preconditioner v and where eps sits:
 with m_hat, v_hat the bias-corrected moments and one row of constants per
 algorithm:
 
-    algorithm      p       q    eps_v  eps_den
-    AdaFamily      1 - mu  mu   eps    0
-    Adam, AdamW    1       0    0      eps
-    AdaBelief      1       1    eps    eps
-    AdaMomentum    0       1    eps    0
+    algorithm      p       q    c       eps_v  eps_den
+    AdaFamily      1 - mu  mu   c(mu)   eps    0
+    Adam, AdamW    1       0    1       0      eps
+    AdaBelief      1       1    1       eps    eps
+    AdaMomentum    0       1    1       eps    0
 
-c = 2 * (1 - |mu - 0.5|) for AdaFamily and 1 otherwise; it is cached in
-the state.  For AdaFamily eps accumulates inside v every step, so
+with c(mu) = 2 * (1 - |mu - 0.5|).  Each step computes its row from the
+config, c included, so the state holds only m, v and t.  For AdaFamily eps accumulates inside v every step, so
 v_t >= eps * (1 - beta2**t) / (1 - beta2) elementwise and the bare
 sqrt(v_hat) denominator can never vanish.  The blend endpoints recover
 familiar preconditioners: mu=0 squares the raw gradient, mu=0.5 the
@@ -153,45 +153,39 @@ def _placement(algorithm: Algorithm) -> str:
 
 @dataclass
 class OptimizerState:
-    """First moment m, preconditioner v, step counter t, cached factor c.
+    """First moment m, preconditioner v and step counter t.
 
     m and v are the only vector storage any algorithm here needs; both have
-    the parameter buffer's length for the lifetime of the state.
+    the parameter buffer's length for the lifetime of the state.  `step`
+    computes every constant, c included, from the config it is given.
     """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    c: float = 1.0
 
     @property
     def dim(self) -> int:
         return self.m.shape[0]
 
 
-def init_state(config: OptimizerConfig, dim: int) -> OptimizerState:
+def init_state(dim: int) -> OptimizerState:
     """Zeroed state for a parameter buffer of length ``dim``."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    c = normalization_factor(config.mu) if config.algorithm is Algorithm.ADAFAMILY else 1.0
-    return OptimizerState(
-        m=np.zeros(dim, dtype=np.float64),
-        v=np.zeros(dim, dtype=np.float64),
-        t=0,
-        c=c,
-    )
+    return OptimizerState(m=np.zeros(dim, dtype=np.float64), v=np.zeros(dim, dtype=np.float64))
 
 
-def _rule_constants(config: OptimizerConfig) -> tuple[float, float, float, float]:
-    """(p, q, eps_v, eps_den) of the configured algorithm's row in the rule."""
-    eps = config.epsilon
+def _rule_constants(config: OptimizerConfig) -> tuple[float, float, float, float, float]:
+    """(p, q, c, eps_v, eps_den) of the configured algorithm's row in the rule."""
+    eps, mu = config.epsilon, config.mu
     if config.algorithm is Algorithm.ADAFAMILY:
-        return 1.0 - config.mu, config.mu, eps, 0.0
+        return 1.0 - mu, mu, normalization_factor(mu), eps, 0.0
     if config.algorithm is Algorithm.ADABELIEF:
-        return 1.0, 1.0, eps, eps
+        return 1.0, 1.0, 1.0, eps, eps
     if config.algorithm is Algorithm.ADAMOMENTUM:
-        return 0.0, 1.0, eps, 0.0
-    return 1.0, 0.0, 0.0, eps  # Adam, AdamW
+        return 0.0, 1.0, 1.0, eps, 0.0
+    return 1.0, 0.0, 1.0, 0.0, eps  # Adam, AdamW
 
 
 def step(
@@ -227,7 +221,7 @@ def step(
             )
     if not 0.0 < lr_scale < math.inf:
         raise ValueError(f"lr_scale must be finite and > 0, got {lr_scale}")
-    p, q, eps_v, eps_den = _rule_constants(config)
+    p, q, c, eps_v, eps_den = _rule_constants(config)
     b1, b2 = config.beta1, config.beta2
     lr = lr_scale * config.alpha
     state.t += 1
@@ -242,7 +236,7 @@ def step(
     m += (1.0 - b1) * grad
     s = p * grad
     s -= q * m
-    s *= state.c
+    s *= c
     np.square(s, out=s)
     s *= 1.0 - b2
     v *= b2

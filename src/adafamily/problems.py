@@ -15,8 +15,9 @@ Every evaluation also takes a stack of R parameter vectors, one per run,
 and computes each row independently: row r of a stacked call equals the
 single-run call byte for byte.  `Problem.loss` and `Problem.loss_grad`
 check every call and treat a 1-D call as the one-row stack; every problem
-evaluates stacks only.  The two classifiers share one softmax head, whose
-`loss` runs no backward pass (see `Problem` and docs/determinism.md).
+evaluates stacks only, through one path, so `loss` is the loss that
+`loss_grad` returns.  The two classifiers share one softmax head (see
+`Problem` and docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
 seed-deterministic through :mod:`adafamily.rng`.
@@ -42,8 +43,9 @@ class Problem:
     row r (with row r of the batch when the batch is stacked too).
 
     `loss` and `loss_grad` check the call and evaluate a 1-D call as the
-    one-row stack.  A subclass evaluates (R, dim) stacks in `_loss_grad`
-    and may give `_loss` a forward-only path.
+    one-row stack.  Both evaluate through `_loss_grad`, the one evaluation
+    path, so a subclass supplies only `_loss_grad` over (R, dim) stacks and
+    `init_params`.
     """
 
     kind: str = "abstract"
@@ -52,16 +54,14 @@ class Problem:
 
     def loss(self, params: np.ndarray, batch: Batch | None = None):
         self._check_eval(params, batch)
-        losses = self._loss(params.reshape(-1, self.dim), batch)
+        # the private method: a traced `loss` must not count as a `loss_grad` call
+        losses = self._loss_grad(params.reshape(-1, self.dim), batch)[0]
         return float(losses[0]) if params.ndim == 1 else losses
 
     def loss_grad(self, params: np.ndarray, batch: Batch | None = None):
         self._check_eval(params, batch)
         losses, grad = self._loss_grad(params.reshape(-1, self.dim), batch)
         return (float(losses[0]), grad[0]) if params.ndim == 1 else (losses, grad)
-
-    def _loss(self, stack: np.ndarray, batch: Batch | None) -> np.ndarray:
-        return self._loss_grad(stack, batch)[0]
 
     def _loss_grad(
         self, stack: np.ndarray, batch: Batch | None
@@ -262,10 +262,6 @@ class _Classifier(Problem):
         logits = inputs @ _transposed(w)
         logits += b[:, None, :]
         return body, w, inputs, logits
-
-    def _loss(self, stack, batch):
-        # forward only: no backward pass through the layers
-        return _softmax_ce(self._forward(stack, batch.features)[-1], batch.labels)[0]
 
     def _loss_grad(self, stack, batch):
         body, w, inputs, logits = self._forward(stack, batch.features)

@@ -117,7 +117,7 @@ def _quadratic_first_hits(threshold):
     hits = {}
     adam_final_gap = None
     for config in default_lineup(weight_decay=0.0):
-        state = init_state(config, problem.dim)
+        state = init_state(problem.dim)
         params = problem.init_params(0)
         first = None
         for t in range(1, 20001):
@@ -140,7 +140,7 @@ def _blobs_first_hits(threshold, max_steps):
     plan = BatchPlan(batch_size=32, shuffle_seed=derive_key(12345, 0))
     hits = {}
     for config in default_lineup(weight_decay=0.0):
-        state = init_state(config, problem.dim)
+        state = init_state(problem.dim)
         params = problem.init_params(0)
         steps, epoch, first = 0, 0, None
         while steps < max_steps and first is None:

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: run, sweep-mu, table, check."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -18,8 +20,15 @@ from adafamily.cli import (
     save_run_config_file,
 )
 from adafamily.data import BatchPlan
-from adafamily.harness import RunConfig, load_results
+from adafamily.harness import (
+    RunConfig,
+    aggregate_result_files,
+    load_results,
+    run_grid,
+    sweep_mu_configs,
+)
 from adafamily.optim import Algorithm, OptimizerConfig
+from adafamily.tables import emit_table
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -90,8 +99,17 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
         (None, "epochs", True, "epochs must be an integer >= 1, got True"),
         ("optimizer", "mu", True, "mu must be a number, got True"),
         (None, "optimizer", [["algorithm", "adam"]], "optimizer must be a JSON object"),
+        (None, "problem", "nope", "unknown problem 'nope'"),
+        (None, "problem", "quadratic", "problem quadratic is analytic and takes no batch_plan"),
     ],
-    ids=["batch_size-2.5", "epochs-true", "mu-true", "optimizer-pairs"],
+    ids=[
+        "batch_size-2.5",
+        "epochs-true",
+        "mu-true",
+        "optimizer-pairs",
+        "problem-unknown",
+        "problem-analytic",
+    ],
 )
 def test_run_refuses_config_numbers_of_the_wrong_type(
     tmp_path, capsys, section, key, value, message
@@ -416,9 +434,15 @@ def test_sweep_mu_repeated_mu_fails_before_training(tmp_path, capsys):
         ]
     )
     assert code == 1
-    err = capsys.readouterr().err
-    assert "config 5: seed 0 of AdaFamily(0.5) on quadratic repeats one from config 4" in err
+    assert capsys.readouterr().err == "error: --mus repeats 0.5\n"
     assert not out.exists()
+    # the harness's cell rule refuses the same grid, naming configs rather
+    # than the value the user wrote
+    configs = sweep_mu_configs([0.5, 0.5], "quadratic", seeds=range(2), epochs=1)
+    with pytest.raises(ValueError) as refused:
+        run_grid(configs)
+    err = str(refused.value)
+    assert "config 5: seed 0 of AdaFamily(0.5) on quadratic repeats one from config 4" in err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-mu"])
@@ -434,7 +458,10 @@ def test_a_batch_larger_than_the_training_split_fails_before_training(
     else:
         argv = ["sweep-mu", "--mus", "0.5", "--problem", "blobs-logreg", "--batch-size", "5000"]
     assert main(argv + ["--out", str(out)]) == 1
-    assert "batch_size 5000 exceeds the 480 training samples" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "batch_size 5000 exceeds the 480 training samples" in err
+    if command == "run":
+        assert err.startswith(f"error: {config_path}: ")
     assert not out.exists()
 
 
@@ -529,25 +556,55 @@ write_text_atomic(sys.argv[1], emit_table([row], "md"))
 """
 
 
-def test_tables_are_written_as_utf_8_under_an_ascii_locale(tmp_path):
+def _ascii_locale_env():
     # the C locale's encoding is ASCII, which has no divergence dagger
-    env = dict(
+    return dict(
         os.environ,
         PYTHONPATH=str(ROOT / "src"),
         LC_ALL="C",
         PYTHONUTF8="0",
         PYTHONCOERCECLOCALE="0",
     )
+
+
+def test_tables_are_written_as_utf_8_under_an_ascii_locale(tmp_path):
     path = tmp_path / "table.md"
     proc = subprocess.run(
         [sys.executable, "-c", _WRITE_DIVERGENT_TABLE, str(path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_ascii_locale_env(),
     )
     assert proc.returncode == 0, proc.stderr
     table = path.read_bytes().decode("utf-8")
     assert "**1.50**\u2020" in table and "1 of 2 runs diverged" in table
+
+
+def test_table_prints_utf_8_under_an_ascii_locale(tmp_path):
+    payload = json.loads((FIXTURES / "smoke" / "blobs-mlp1--adam.json").read_text())
+    run = payload["results"][0]
+    del run["train_loss"][1:], run["eval_metric"][1:]
+    run.update(diverged=True, divergence_epoch=1, final_metric=None)
+    path = tmp_path / "div.json"
+    path.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adafamily", "table", str(path)],
+        capture_output=True,
+        env=_ascii_locale_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = emit_table(aggregate_result_files([path]), "md")
+    assert "\u2020" in table and proc.stdout == table.encode("utf-8")
+
+
+def test_sweep_mu_prints_its_table_to_a_stream_without_a_buffer(tmp_path):
+    stdout = io.StringIO()
+    argv = ["sweep-mu", "--mus", "0.5", "--problem", "quadratic", "--seeds", "1",
+            "--epochs", "1", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    table = (tmp_path / "sweep_quadratic.md").read_bytes().decode("utf-8")
+    assert table.startswith("| algorithm |") and stdout.getvalue() == table
 
 
 def test_console_entry_point_runs():

@@ -123,7 +123,7 @@ def test_blobs_tight_spread_is_linearly_separable():
     problem = LogisticRegression(num_features=2, num_classes=2)
     batch = Batch(features=ds.features, labels=ds.labels)
     cfg = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=1e-2)
-    state = init_state(cfg, problem.dim)
+    state = init_state(problem.dim)
     params = problem.init_params(0)
     for _ in range(300):
         _, grad = problem.loss_grad(params, batch)

@@ -5,6 +5,7 @@ and once through the scalar reference loops in adafamily.checks, which
 share no code with it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_one_step_mu0():
     #   m_hat = 1, v_hat = 0.00100001/0.001 = 1.00001
     #   theta1 = -1e-3 / sqrt(1.00001)
     cfg = _af(0.0)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([0.0]), np.array([1.0]), cfg)
     assert st.t == 1
     assert st.v[0] == pytest.approx(1.00001e-3, rel=1e-12)
@@ -91,7 +92,7 @@ def test_one_step_mu_half():
     #   v1 = 0.001*0.81 + 1e-8 = 8.1001e-4, v_hat = 0.81001
     #   theta1 = -1e-3 / sqrt(0.81001) ~ -1.1111e-3
     cfg = _af(0.5)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([0.0]), np.array([1.0]), cfg)
     assert st.v[0] == pytest.approx(8.1001e-4, rel=1e-12)
     assert p[0] == pytest.approx(-1e-3 / np.sqrt(0.81001), rel=1e-12)
@@ -101,7 +102,7 @@ def test_one_step_mu1_zero_gradient():
     # mu=1: s = -m = 0 when g=0, v1 = eps exactly, m_hat = 0, so theta
     # does not move and the bare-sqrt denominator stays finite.
     cfg = _af(1.0)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([0.0]), np.array([0.0]), cfg)
     assert p[0] == 0.0
     assert st.v[0] == 1e-8
@@ -110,7 +111,7 @@ def test_one_step_mu1_zero_gradient():
 def test_one_step_adam():
     # g=1: m_hat = v_hat = 1, theta1 = -alpha/(1 + eps) exactly
     cfg = OptimizerConfig(algorithm=Algorithm.ADAM)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([0.0]), np.array([1.0]), cfg)
     assert p[0] == -1e-3 / (1.0 + 1e-8)
 
@@ -118,7 +119,7 @@ def test_one_step_adam():
 def test_one_step_adam_coupled_decay():
     # lam=0.1, theta0=1, g=1: effective gradient 1.1 enters both moments
     cfg = OptimizerConfig(algorithm=Algorithm.ADAM, weight_decay=0.1)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([1.0]), np.array([1.0]), cfg)
     assert p[0] == pytest.approx(1.0 - 1e-3 * 1.1 / (1.1 + 1e-8), rel=1e-12)
 
@@ -127,7 +128,7 @@ def test_one_step_adamw_pure_decay():
     # g=0 keeps both moments at zero, so the whole move is the decoupled
     # decay term: theta1 = 1 - alpha*lam*theta0 = 0.9999
     cfg = OptimizerConfig(algorithm=Algorithm.ADAMW, weight_decay=0.1)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([1.0]), np.array([0.0]), cfg)
     assert p[0] == 1.0 - 1e-3 * 0.1
 
@@ -135,7 +136,7 @@ def test_one_step_adamw_pure_decay():
 def test_decoupled_decay_uses_pre_update_params():
     # decay must subtract lr*lam*theta_{t-1}, not lr*lam*theta_t
     cfg = OptimizerConfig(algorithm=Algorithm.ADAMW, weight_decay=0.5)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     p = step(st, np.array([2.0]), np.array([1.0]), cfg)
     grad_move = 1e-3 / (1.0 + 1e-8)
     assert p[0] == pytest.approx(2.0 - grad_move - 1e-3 * 0.5 * 2.0, rel=1e-12)
@@ -276,7 +277,7 @@ def test_adamw_at_zero_decay_is_bitwise_adam():
 def test_v_lower_bound(mu):
     # v_t >= eps * (1 - beta2^t) / (1 - beta2) - 1e-15 for all t, and v > 0
     cfg = _af(mu)
-    st = init_state(cfg, 4)
+    st = init_state(4)
     params = np.zeros(4)
     grads = rng.normals(rng.derive_key(88, int(mu * 100)), 1000 * 4).reshape(1000, 4)
     for g in grads:
@@ -290,7 +291,7 @@ def test_v_bound_with_zero_gradients():
     # the bound is tight when every gradient is zero: v_t is exactly the
     # eps accumulation sum_{k<t} beta2^k * eps
     cfg = _af(0.5)
-    st = init_state(cfg, 2)
+    st = init_state(2)
     params = np.zeros(2)
     for t in range(1, 51):
         params = step(st, params, np.zeros(2), cfg)
@@ -317,7 +318,7 @@ def test_replay_is_bitwise_identical():
 
 def test_shape_mismatch_raises():
     cfg = _af(0.5)
-    st = init_state(cfg, 3)
+    st = init_state(3)
     with pytest.raises(BufferMismatchError):
         step(st, np.zeros(4), np.zeros(4), cfg)
     with pytest.raises(BufferMismatchError):
@@ -326,7 +327,7 @@ def test_shape_mismatch_raises():
 
 def test_nonfinite_gradient_names_index():
     cfg = _af(0.5)
-    st = init_state(cfg, 3)
+    st = init_state(3)
     g = np.array([0.0, np.nan, 0.0])
     with pytest.raises(NonFiniteGradientError, match=r"index 1"):
         step(st, np.zeros(3), g, cfg)
@@ -339,7 +340,7 @@ def test_nonfinite_gradient_names_index():
 
 def test_nonpositive_lr_scale_rejected():
     cfg = _af(0.5)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     with pytest.raises(ValueError):
         step(st, np.zeros(1), np.zeros(1), cfg, lr_scale=0.0)
     with pytest.raises(ValueError):
@@ -357,7 +358,7 @@ def test_nonpositive_lr_scale_rejected():
 )
 def test_nonfinite_gradient_raises_before_touching_stepped_state(bad, index):
     cfg = _af(0.25)
-    st = init_state(cfg, 4)
+    st = init_state(4)
     params = step(st, np.ones(4), np.array([0.5, -1.0, 2.0, 0.25]), cfg)
     m, v = st.m.copy(), st.v.copy()
     with np.errstate(invalid="ignore"):
@@ -386,7 +387,7 @@ def test_finite_gradient_whose_sum_overflows_steps_like_the_oracle(algorithm, or
 @pytest.mark.parametrize("scale", [math.nan, math.inf])
 def test_nonfinite_lr_scale_rejected(scale):
     cfg = _af(0.5)
-    st = init_state(cfg, 1)
+    st = init_state(1)
     with pytest.raises(ValueError, match=rf"lr_scale must be finite and > 0, got {scale}"):
         step(st, np.zeros(1), np.zeros(1), cfg, lr_scale=scale)
     assert st.t == 0
@@ -481,8 +482,12 @@ def test_config_dict_roundtrip():
 
 
 def test_state_size_is_two_buffers():
+    # a fresh state belongs to no algorithm, so check the state a step leaves
     for algorithm in Algorithm:
-        st = init_state(OptimizerConfig(algorithm=algorithm), 23)
+        st = init_state(23)
+        step(st, np.zeros(23), np.ones(23), OptimizerConfig(algorithm=algorithm))
+        assert [f.name for f in dataclasses.fields(st)] == ["m", "v", "t"]
+        assert [k for k, a in vars(st).items() if isinstance(a, np.ndarray)] == ["m", "v"]
         assert st.m.size + st.v.size == 46
 
 
@@ -492,7 +497,7 @@ def test_every_algorithm_descends_a_bowl():
     for algorithm in Algorithm:
         for mu in GRID_MUS if algorithm is Algorithm.ADAFAMILY else [0.0]:
             cfg = OptimizerConfig(algorithm=algorithm, mu=mu)
-            st = init_state(cfg, 1)
+            st = init_state(1)
             params = np.array([3.0])
             for _ in range(2000):
                 params = step(st, params, params.copy(), cfg)
@@ -519,6 +524,6 @@ def test_bias_correction_first_step_magnitude():
     # above eps: alpha * g0 / (g0 + eps)
     for g0 in (1e-2, 1.0, 1e6):
         cfg = OptimizerConfig(algorithm=Algorithm.ADAM)
-        st = init_state(cfg, 1)
+        st = init_state(1)
         p = step(st, np.array([0.0]), np.array([g0]), cfg)
         assert abs(p[0]) == pytest.approx(1e-3, rel=1e-5)

@@ -352,7 +352,7 @@ def _stack_cases():
 
 
 def test_stacked_loss_grad_rows_equal_single_calls():
-    # the forward-only loss must give the bytes of loss_grad's loss
+    # loss, stacked or one row as a float, must give the bytes of loss_grad's loss
     for problem, params, feats, labels in _stack_cases():
         losses, grads = problem.loss_grad(params, Batch(feats, labels))
         assert losses.shape == (len(params),) and grads.shape == params.shape
@@ -362,9 +362,9 @@ def test_stacked_loss_grad_rows_equal_single_calls():
             assert isinstance(loss, float)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
-            forward = problem.loss(row, Batch(feats[r], labels[r]))
-            assert isinstance(forward, float)
-            assert np.float64(forward).tobytes() == losses[r].tobytes()
+            loss_only = problem.loss(row, Batch(feats[r], labels[r]))
+            assert isinstance(loss_only, float)
+            assert np.float64(loss_only).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_params_over_one_shared_batch_equal_single_calls():
@@ -376,8 +376,8 @@ def test_stacked_params_over_one_shared_batch_equal_single_calls():
             loss, grad = problem.loss_grad(row, shared)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
-            forward = problem.loss(row, shared)
-            assert np.float64(forward).tobytes() == losses[r].tobytes()
+            loss_only = problem.loss(row, shared)
+            assert np.float64(loss_only).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_predict_rows_equal_single_calls():

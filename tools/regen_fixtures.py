@@ -90,7 +90,7 @@ def reference_quadratic() -> dict:
     setup = build_problem("quadratic")
     problem = setup.problem
     config = OptimizerConfig(algorithm=Algorithm.ADAM)
-    state = init_state(config, problem.dim)
+    state = init_state(problem.dim)
     params = problem.init_params(0)
     first_below = None
     threshold = 1e-6
@@ -114,7 +114,7 @@ def reference_blobs_logreg() -> dict:
     setup = build_problem("blobs-logreg")
     problem, train = setup.problem, setup.train
     config = OptimizerConfig(algorithm=Algorithm.ADAM)
-    state = init_state(config, problem.dim)
+    state = init_state(problem.dim)
     params = problem.init_params(0)
     plan = BatchPlan(batch_size=32, shuffle_seed=rng.derive_key(12345, 0))
     steps, epoch = 0, 0
