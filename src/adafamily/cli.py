@@ -21,13 +21,10 @@ from .checks import run_checks
 from .harness import (
     DESK_BATCH_SIZE,
     DESK_EPOCHS,
-    RunConfig,
-    _check_runnable,
-    _read_json_file,
-    _write_json_file,
     aggregate_result_files,
-    build_problem,
+    load_run_config_file,
     problem_names,
+    results_filename,
     run_configs,
     run_grid,
     save_results,
@@ -37,47 +34,29 @@ from .harness import (
 from .tables import FORMATS, emit_table
 
 OUT_DIR_ENV = "ADAFAMILY_OUT_DIR"
-CONFIG_VERSION = 1
 
 
-def _default_out_dir() -> Path:
-    return Path(os.environ.get(OUT_DIR_ENV, "results"))
+def _out_dir(out: str | None) -> Path:
+    """The output directory: ``out``, else $ADAFAMILY_OUT_DIR, else ./results.
 
-
-def _slug(label: str) -> str:
-    return (
-        label.lower()
-        .replace("(", "-")
-        .replace(")", "")
-        .replace(" ", "")
-    )
-
-
-def _results_filename(config: RunConfig) -> str:
-    return f"{config.problem}--{_slug(config.optimizer.label)}.json"
-
-
-def load_run_config_file(path: str | Path) -> RunConfig:
-    """The run config in ``path``, refused (naming the path) unless runnable."""
-    payload = _read_json_file(path, CONFIG_VERSION)
-    try:
-        config = RunConfig.from_dict(payload["run"])
-        _check_runnable(config, build_problem(config.problem))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed run config ({exc})") from None
-    return config
-
-
-def save_run_config_file(path: str | Path, config: RunConfig) -> None:
-    _write_json_file(path, {"version": CONFIG_VERSION, "run": config.to_dict()})
+    A non-directory at that path or above it is refused, since no directory
+    could be made there.  Commands resolve it before anything trains and
+    make the directory only when results are written, so a refused run
+    leaves nothing behind.
+    """
+    out_dir = Path(out) if out else Path(os.environ.get(OUT_DIR_ENV, "results"))
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(f"{path}: not a directory")
+    return out_dir
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_run_config_file(args.config)
+    out_dir = _out_dir(args.out)
     results = run_configs([config])[0]
-    out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / _results_filename(config)
+    out_path = out_dir / results_filename(config)
     save_results(out_path, config, results)
     divergent = sum(r.diverged for r in results)
     print(f"wrote {out_path} ({len(results)} runs, {divergent} divergent)")
@@ -103,12 +82,12 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
+    out_dir = _out_dir(args.out)
     aggregates, cells = run_grid(configs)
-    out_dir = Path(args.out) if args.out else _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for config in configs:
         # each config of the sweep is a cell of its own
-        path = out_dir / _results_filename(config)
+        path = out_dir / results_filename(config)
         save_results(path, config, cells[config.optimizer.label, config.problem])
     table = emit_table(aggregates, args.format)
     table_path = out_dir / f"sweep_{args.problem}.{args.format}"
@@ -183,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

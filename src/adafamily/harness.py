@@ -44,6 +44,7 @@ from .problems import LogisticRegression, MLP1, Problem, Rosenbrock2D, spd_quadr
 log = logging.getLogger(__name__)
 
 RESULTS_VERSION = 1
+CONFIG_VERSION = 1
 
 # frozen desk-scale protocol constants
 DESK_EPOCHS = 30
@@ -153,6 +154,14 @@ def build_problem(name: str) -> ProblemSetup:
     return builder()
 
 
+def _fields(section: str, d) -> dict:
+    """A copy of a file section's keys, refused unless it is a JSON object.
+    A section decodes through its dataclass, so an unknown key is refused."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{section} must be a JSON object, got {d!r}")
+    return dict(d)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One cell of a grid: problem x optimizer x protocol."""
@@ -165,6 +174,8 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
+        if type(self.problem) is not str:
+            raise ValueError(f"problem must be a string, got {self.problem!r}")
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not self.seeds:
@@ -200,17 +211,11 @@ class RunConfig:
         return "final_loss" if self.batch_plan is None else "top1_error"
 
     def to_dict(self) -> dict:
+        plan = self.batch_plan
         return {
-            "problem": self.problem,
+            **vars(self),
             "optimizer": self.optimizer.to_dict(),
-            "epochs": self.epochs,
-            "batch_plan": None
-            if self.batch_plan is None
-            else {
-                "batch_size": self.batch_plan.batch_size,
-                "shuffle_seed": self.batch_plan.shuffle_seed,
-                "drop_last": False,
-            },
+            "batch_plan": None if plan is None else {**vars(plan), "drop_last": False},
             "schedule": [list(pair) for pair in self.schedule],
             "seeds": list(self.seeds),
             "metric": self.metric,
@@ -218,30 +223,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Inverse of to_dict.  A stored metric (absent reads as 'final_loss')
-        must be the derived one, a stored drop_last must be false, and an int
-        schedule factor reads as a float."""
-        if not isinstance(d, dict):
-            raise TypeError(f"a run config must be a JSON object, got {d!r}")
-        plan = d.get("batch_plan")
-        config = cls(
-            problem=d["problem"],
-            optimizer=OptimizerConfig.from_dict(d["optimizer"]),
-            epochs=d["epochs"],
-            batch_plan=None
-            if plan is None
-            else BatchPlan(batch_size=plan["batch_size"], shuffle_seed=plan["shuffle_seed"]),
-            schedule=tuple(
-                (m, float(f) if type(f) is int else f) for m, f in d.get("schedule", [])
-            ),
-            seeds=tuple(d.get("seeds", [0])),
-        )
-        if plan is not None and plan.get("drop_last", False):
-            raise ValueError(
-                f"drop_last {plan['drop_last']!r} is not false; every epoch keeps "
-                "its short last batch"
+        """Inverse of to_dict: each key but a derived one is a field.  A
+        stored metric (absent reads as 'final_loss') must be the derived one,
+        a stored drop_last must be false, and an int schedule factor reads as
+        a float."""
+        fields = _fields("a run config", d)
+        stored = fields.pop("metric", "final_loss")
+        fields["optimizer"] = OptimizerConfig.from_dict(_fields("optimizer", fields["optimizer"]))
+        plan = fields.get("batch_plan")
+        if plan is not None:
+            plan = _fields("batch_plan", plan)
+            drop_last = plan.pop("drop_last", False)
+            if drop_last:
+                raise ValueError(
+                    f"drop_last {drop_last!r} is not false; every epoch keeps "
+                    "its short last batch"
+                )
+            fields["batch_plan"] = BatchPlan(**plan)
+        if "schedule" in fields:
+            fields["schedule"] = tuple(
+                (m, float(f) if type(f) is int else f) for m, f in fields["schedule"]
             )
-        stored = d.get("metric", "final_loss")
+        if "seeds" in fields:
+            fields["seeds"] = tuple(fields["seeds"])
+        config = cls(**fields)
         if stored != config.metric:
             given = f"metric {stored!r}" if "metric" in d else "no metric (read as 'final_loss')"
             raise ValueError(
@@ -271,27 +276,16 @@ class RunResult:
         return None if self.diverged else self.eval_metric[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_loss": self.train_loss,
-            "eval_metric": self.eval_metric,
-            "final_metric": self.final_metric,
-            "elapsed_seconds": self.elapsed_seconds,
-            "diverged": self.diverged,
-            "divergence_epoch": self.divergence_epoch,
-        }
+        return {**vars(self), "final_metric": self.final_metric, "diverged": self.diverged}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
         """Inverse of to_dict, but for the derived diverged and final_metric,
         which `load_results` checks."""
-        return cls(
-            seed=d["seed"],
-            train_loss=list(d["train_loss"]),
-            eval_metric=list(d["eval_metric"]),
-            elapsed_seconds=d["elapsed_seconds"],
-            divergence_epoch=d.get("divergence_epoch"),
-        )
+        fields = _fields("a results entry", d)
+        fields.pop("diverged", None)
+        fields.pop("final_metric", None)
+        return cls(**fields)
 
 
 @dataclass
@@ -595,6 +589,28 @@ def run_grid(
     return _fold(configs, run_configs(configs))
 
 
+def results_filename(config: RunConfig) -> str:
+    """The name of a config's results file, e.g. 'quadratic--adafamily-0.5.json'."""
+    slug = config.optimizer.label.lower().replace("(", "-").replace(")", "").replace(" ", "")
+    return f"{config.problem}--{slug}.json"
+
+
+def load_run_config_file(path: str | Path) -> RunConfig:
+    """The run config in ``path``, refused (naming the path) unless runnable."""
+    payload = _read_json_file(path, CONFIG_VERSION)
+    try:
+        config = RunConfig.from_dict(payload["run"])
+        _check_runnable(config, build_problem(config.problem))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed run config ({exc})") from None
+    return config
+
+
+def save_run_config_file(path: str | Path, config: RunConfig) -> None:
+    """Write ``config`` as a versioned run-config file, as `save_results` writes."""
+    _write_json_file(path, {"version": CONFIG_VERSION, "run": config.to_dict()})
+
+
 def save_results(path: str | Path, config: RunConfig, results: Sequence[RunResult]) -> None:
     """Write one config's runs as a versioned, self-describing JSON file.
 
@@ -683,6 +699,8 @@ def _contradiction(r: RunResult, diverged, final, epochs: int) -> str | None:
     itself or its config's epochs, if it does."""
     if not rng.is_seed(r.seed):
         return "not an integer in [0, 2**64)"
+    if type(r.train_loss) is not list or type(r.eval_metric) is not list:
+        return "train_loss and eval_metric must be lists"
     stop = r.divergence_epoch
     if type(diverged) is not bool:
         return f"diverged {diverged!r} is not a bool"

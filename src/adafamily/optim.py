@@ -117,25 +117,14 @@ class OptimizerConfig:
         return self.algorithm.value
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm.value,
-            "mu": self.mu,
-            "alpha": self.alpha,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "weight_decay": self.weight_decay,
-            "decay_mode": self.decay_mode,
-        }
+        return {**vars(self), "algorithm": self.algorithm.value, "decay_mode": self.decay_mode}
 
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizerConfig":
-        """Inverse of to_dict.  A stored decay_mode must be the derived one or,
-        with weight_decay 0, the algorithm's placement; it may be absent."""
-        if not isinstance(d, dict):
-            raise TypeError(f"optimizer must be a JSON object, got {d!r}")
-        fields = dict(d)
-        fields["algorithm"] = Algorithm(fields["algorithm"])
+        """Inverse of to_dict: each key but decay_mode is a field.  A stored
+        decay_mode must be the derived one or, with weight_decay 0, the
+        algorithm's placement; it may be absent."""
+        fields = {**d, "algorithm": Algorithm(d["algorithm"])}
         fields.pop("decay_mode", None)
         config = cls(**fields)
         stored = d.get("decay_mode", config.decay_mode)

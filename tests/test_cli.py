@@ -11,20 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adafamily import checks
+from adafamily import checks, cli
 from adafamily.checks import CHECKS
-from adafamily.cli import (
-    OUT_DIR_ENV,
-    load_run_config_file,
-    main,
-    save_run_config_file,
-)
+from adafamily.cli import OUT_DIR_ENV, main
 from adafamily.data import BatchPlan
 from adafamily.harness import (
     RunConfig,
     aggregate_result_files,
     load_results,
+    load_run_config_file,
+    problem_names,
     run_grid,
+    save_run_config_file,
     sweep_mu_configs,
 )
 from adafamily.optim import Algorithm, OptimizerConfig
@@ -236,6 +234,117 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     save_run_config_file(path, config)
     assert load_run_config_file(path) == config
+
+
+def _edited_input(tmp_path, command, keys, value):
+    """``command``'s input file with the entry at the path ``keys`` set to
+    ``value``, and the argv that reads it: a blobs-logreg run config for
+    run, a smoke results file for table."""
+    if command == "run":
+        path = tmp_path / "config.json"
+        plan = BatchPlan(batch_size=32, shuffle_seed=12345)
+        save_run_config_file(path, _small_config(problem="blobs-logreg", batch_plan=plan))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "blobs-mlp1--adam.json"
+        path.write_text((FIXTURES / "smoke" / path.name).read_text())
+        argv = ["table", str(path)]
+    payload = json.loads(path.read_text())
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(payload))
+    return path, argv
+
+
+_SECTIONS = {
+    "run": [("run",), ("run", "optimizer"), ("run", "batch_plan")],
+    "table": [("config",), ("config", "optimizer"), ("config", "batch_plan"), ("results", 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [(command, section) for command, sections in _SECTIONS.items() for section in sections],
+    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x,
+)
+def test_an_unknown_key_is_refused_in_every_section(tmp_path, capsys, command, section):
+    # a misspelt key would leave its field at the default: a run section
+    # with "seedz" would train seed 0 alone
+    path, argv = _edited_input(tmp_path, command, (*section, "seedz"), [1, 2])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed") and "'seedz'" in err
+    assert not (tmp_path / "out").exists()
+
+
+_PAIRS = [["batch_size", 32], ["shuffle_seed", 12345]]
+
+
+@pytest.mark.parametrize(
+    "command, keys, value",
+    [
+        ("table", ("results", 1), 1.5),
+        ("table", ("results", 1), "seed 1"),
+        ("table", ("results", 1), [["seed", 1]]),
+        ("table", ("config", "batch_plan"), _PAIRS),
+        ("run", ("run", "batch_plan"), _PAIRS),
+        ("table", ("results", 1, "train_loss"), "0.125"),
+    ],
+    ids=[
+        "entry-number",
+        "entry-string",
+        "entry-list",
+        "table-batch_plan-list",
+        "run-batch_plan-list",
+        "train_loss-string",
+    ],
+)
+def test_a_misshapen_section_is_refused_naming_the_file(tmp_path, capsys, command, keys, value):
+    # "0.125" has as many characters as the smoke runs have epochs, so only
+    # the list rule refuses it
+    path, argv = _edited_input(tmp_path, command, keys, value)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", [["blobs-mlp1"], 7, None])
+def test_a_problem_that_is_no_string_is_refused(tmp_path, capsys, problem):
+    path, argv = _edited_input(tmp_path, "table", ("config", "problem"), problem)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed results file")
+
+
+def test_table_reads_a_problem_registered_only_in_another_process(tmp_path, capsys):
+    path, _ = _edited_input(tmp_path, "table", ("config", "problem"), "elsewhere-mlp1")
+    assert "elsewhere-mlp1" not in problem_names()
+    assert main(["table", "--format", "csv", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("algorithm,elsewhere-mlp1,")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["run", "sweep-mu"])
+def test_out_naming_a_file_is_refused_before_training(
+    tmp_path, monkeypatch, capsys, command, below
+):
+    def train(*args):
+        raise AssertionError("trained before refusing --out")
+
+    monkeypatch.setattr(cli, "run_configs", train)
+    monkeypatch.setattr(cli, "run_grid", train)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    if command == "run":
+        config_path = tmp_path / "config.json"
+        save_run_config_file(config_path, _small_config())
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = ["sweep-mu", "--mus", "0.5", "--problem", "quadratic", "--seeds", "1"]
+    assert main(argv + ["--out", str(afile / below)]) == 1
+    assert capsys.readouterr().err == f"error: {afile}: not a directory\n"
+    assert afile.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from adafamily.cli import main, save_run_config_file
-from adafamily.harness import load_results, run_configs
+from adafamily.cli import main
+from adafamily.harness import load_results, run_configs, save_run_config_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

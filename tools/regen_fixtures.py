@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from adafamily import rng
-from adafamily.cli import _results_filename, save_run_config_file
 from adafamily.data import BatchPlan, batches
 from adafamily.harness import (
     DESK_SCHEDULE,
@@ -35,8 +34,10 @@ from adafamily.harness import (
     aggregate_result_files,
     build_problem,
     default_lineup,
+    results_filename,
     run_configs,
     save_results,
+    save_run_config_file,
 )
 from adafamily.optim import Algorithm, OptimizerConfig, init_state, step
 from adafamily.tables import emit_table
@@ -75,7 +76,7 @@ def write_smoke_results() -> list[Path]:
                 schedule=((2, 0.5),),
                 seeds=SMOKE_SEEDS,
             )
-            path = smoke / _results_filename(config)
+            path = smoke / results_filename(config)
             save_results(path, config, run_configs([config])[0])
             paths.append(path)
     return paths
