@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import math
 import os
 import time
@@ -40,8 +39,6 @@ from .optim import (
     step,
 )
 from .problems import LogisticRegression, MLP1, Problem, Rosenbrock2D, spd_quadratic
-
-log = logging.getLogger(__name__)
 
 RESULTS_VERSION = 1
 CONFIG_VERSION = 1
@@ -81,14 +78,10 @@ class ProblemSetup:
 
     def __post_init__(self) -> None:
         splits = (self.train, self.test)
-        if not self.has_data and any(s is not None for s in splits):
+        if not self.problem.requires_batch and any(s is not None for s in splits):
             raise ValueError(f"{self.problem.kind} is analytic and takes no data")
-        if self.has_data and not all(s is not None and s.n for s in splits):
+        if self.problem.requires_batch and not all(s is not None and s.n for s in splits):
             raise ValueError(f"{self.problem.kind} needs non-empty train and test splits")
-
-    @property
-    def has_data(self) -> bool:
-        return self.problem.requires_batch
 
 
 def _build_quadratic() -> ProblemSetup:
@@ -315,17 +308,18 @@ def lr_scale_sequence(
 def _evaluate(setup: ProblemSetup, params: np.ndarray) -> np.ndarray:
     """The metric of every row of an (R, dim) parameter stack, in one call:
     top-1 error on the test split, or the loss of an analytic problem."""
-    if not setup.has_data:
+    if not setup.problem.requires_batch:
         return setup.problem.loss(params)
     predicted = setup.problem.predict(params, setup.test.features)
     return 100.0 * np.mean(predicted != setup.test.labels, axis=-1)
 
 
 def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
-    if setup.has_data != (config.batch_plan is not None):
-        need = "needs a batch_plan" if setup.has_data else "is analytic and takes no batch_plan"
-        raise ValueError(f"problem {config.problem} {need}")
-    if setup.has_data and config.batch_plan.batch_size > setup.train.n:
+    if setup.problem.requires_batch and config.batch_plan is None:
+        raise ValueError(f"problem {config.problem} needs a batch_plan")
+    if not setup.problem.requires_batch and config.batch_plan is not None:
+        raise ValueError(f"problem {config.problem} is analytic and takes no batch_plan")
+    if setup.problem.requires_batch and config.batch_plan.batch_size > setup.train.n:
         raise ValueError(
             f"batch_size {config.batch_plan.batch_size} exceeds the "
             f"{setup.train.n} training samples of problem {config.problem}"
@@ -389,7 +383,7 @@ def _train_group(
     for epoch in range(max(config.epochs for config, _ in members)):
         epoch_batches = (
             batches(setup.train, [run.plan for run in stack], epoch)
-            if setup.has_data
+            if problem.requires_batch
             else [None]
         )
         steppers = [
@@ -429,16 +423,7 @@ def _train_group(
 
     elapsed = (time.perf_counter() - start) / len(runs)
     for run in runs:
-        result = run.result
-        result.elapsed_seconds = elapsed
-        log.info(
-            "run %s/%s seed=%d: lr scales %s, %s",
-            run.config.problem,
-            run.config.optimizer.label,
-            result.seed,
-            run.scales,
-            "diverged at epoch %s" % result.divergence_epoch if result.diverged else "ok",
-        )
+        run.result.elapsed_seconds = elapsed
     return [run.result for run in runs]
 
 
@@ -496,7 +481,7 @@ def sweep_mu_configs(
     setup = build_problem(problem)
     plan = (
         BatchPlan(batch_size=batch_size, shuffle_seed=DESK_SHUFFLE_SEED)
-        if setup.has_data
+        if setup.problem.requires_batch
         else None
     )
     # short runs keep only the milestones they actually reach
@@ -599,6 +584,7 @@ def load_run_config_file(path: str | Path) -> RunConfig:
     """The run config in ``path``, refused (naming the path) unless runnable."""
     payload = _read_json_file(path, CONFIG_VERSION)
     try:
+        _refuse_unknown_keys(payload, "run")
         config = RunConfig.from_dict(payload["run"])
         _check_runnable(config, build_problem(config.problem))
     except (KeyError, TypeError, ValueError) as exc:
@@ -649,6 +635,13 @@ def _read_json_file(path: str | Path, version: int) -> dict:
     return payload
 
 
+def _refuse_unknown_keys(payload: dict, *sections: str) -> None:
+    """Refuse a file whose top level holds a key besides version and ``sections``."""
+    unknown = sorted(set(payload) - {"version", *sections})
+    if unknown:
+        raise ValueError(f"unknown top-level key {unknown[0]!r}")
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` so that a crash never leaves it truncated.
 
@@ -673,6 +666,7 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     """
     payload = _read_json_file(path, RESULTS_VERSION)
     try:
+        _refuse_unknown_keys(payload, "config", "results")
         config = RunConfig.from_dict(payload["config"])
         results = [RunResult.from_dict(r) for r in payload["results"]]
         stored = [(r.get("diverged", False), r["final_metric"]) for r in payload["results"]]

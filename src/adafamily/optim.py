@@ -90,7 +90,8 @@ class OptimizerConfig:
         for name in ("mu", "alpha", "beta1", "beta2", "epsilon", "weight_decay"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0.0 <= self.mu <= 1.0:
+        # -0.0 passes the range test but would label a row apart from 0.0
+        if not 0.0 <= self.mu <= 1.0 or math.copysign(1.0, self.mu) < 0.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")

@@ -2,13 +2,16 @@
 
 The emitter consumes `adafamily.harness.AggregateResult` rows (`label`,
 `means`, `divergent`, `seeds_per_problem`) and prints one row per
-algorithm, one column per problem, means at 2 decimals.  Ranks are
+algorithm, one column per problem, means at 2 decimals.  `emit_table`
+works out each cell once, into one grid that both formats only print: its
+value, its rank in its column and its divergence count.  Ranks are
 computed here and only here, from the full-precision means, not the
 printed values: the column minimum is best (bold in Markdown), the
 runner-up second best (italic).  CSV carries the same information as
-explicit rank columns.
-Cells whose runs partly diverged get a dagger and a footnote; cells with
-no surviving runs print as n/a.
+explicit rank and divergence columns.
+A missing or non-finite mean has no value: it prints as n/a in Markdown
+and empty in CSV, unmarked, and ranks after every value.  Cells whose
+runs partly diverged get a dagger and a footnote, row by row.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 FORMATS = ("md", "csv")
 
@@ -37,33 +40,12 @@ def ordinal_ranks(values: Sequence[float | None]) -> list[int]:
     return ranks
 
 
-def _column_order(aggregates) -> list[str]:
-    problems: list[str] = []
-    for agg in aggregates:
-        for problem in agg.means:
-            if problem not in problems:
-                problems.append(problem)
-    return problems
+class _Cell(NamedTuple):
+    """One row's entry in one problem column."""
 
-
-def _cell_values(aggregates, problem: str) -> list[float | None]:
-    out = []
-    for agg in aggregates:
-        mean = agg.means.get(problem)
-        if mean is not None and not math.isfinite(mean):
-            mean = None
-        out.append(mean)
-    return out
-
-
-def _divergence_notes(aggregates, problems) -> list[tuple[str, str, int, int]]:
-    notes = []
-    for agg in aggregates:
-        for problem in problems:
-            count = agg.divergent.get(problem, 0)
-            if count:
-                notes.append((agg.label, problem, count, agg.seeds_per_problem[problem]))
-    return notes
+    value: float | None  # the mean when finite, else None (printed as no value)
+    rank: int  # 1-based within the column, from `ordinal_ranks`
+    diverged: int  # runs excluded from the mean; 0 for a missing cell
 
 
 def emit_table(aggregates, format: str = "md") -> str:
@@ -73,66 +55,70 @@ def emit_table(aggregates, format: str = "md") -> str:
         raise ValueError("no results to tabulate")
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    problems = _column_order(aggregates)
+    problems: list[str] = []  # in first-seen order
+    for agg in aggregates:
+        for problem in agg.means:
+            if problem not in problems:
+                problems.append(problem)
     if not problems:
         raise ValueError("results contain no problem columns")
-    ranks = {p: ordinal_ranks(_cell_values(aggregates, p)) for p in problems}
+    grid: list[list[_Cell]] = [[] for _ in aggregates]
+    for problem in problems:
+        values = []
+        for agg in aggregates:
+            mean = agg.means.get(problem)
+            values.append(mean if mean is not None and math.isfinite(mean) else None)
+        ranks = ordinal_ranks(values)
+        for agg, cells, value, rank in zip(aggregates, grid, values, ranks):
+            cells.append(_Cell(value, rank, agg.divergent.get(problem, 0)))
     if format == "md":
-        return _emit_markdown(aggregates, problems, ranks)
-    return _emit_csv(aggregates, problems, ranks)
+        return _emit_markdown(aggregates, problems, grid)
+    return _emit_csv(aggregates, problems, grid)
 
 
-def _emit_markdown(aggregates, problems, ranks) -> str:
+def _emit_markdown(aggregates, problems, grid) -> str:
     lines = [
         "| algorithm | " + " | ".join(problems) + " |",
         "| --- |" + " --- |" * len(problems),
     ]
-    for row_index, agg in enumerate(aggregates):
-        cells = []
-        for problem in problems:
-            mean = agg.means.get(problem)
-            if mean is None or not math.isfinite(mean):
+    notes = []
+    for agg, cells in zip(aggregates, grid):
+        texts = [agg.label]
+        for problem, cell in zip(problems, cells):
+            if cell.value is None:
                 text = "n/a"
             else:
-                text = f"{mean:.2f}"
-                rank = ranks[problem][row_index]
-                if rank == 1:
+                text = f"{cell.value:.2f}"
+                if cell.rank == 1:
                     text = f"**{text}**"
-                elif rank == 2:
+                elif cell.rank == 2:
                     text = f"*{text}*"
-            if agg.divergent.get(problem, 0):
+            if cell.diverged:
                 text += "†"
-            cells.append(text)
-        lines.append("| " + " | ".join([agg.label] + cells) + " |")
-    notes = _divergence_notes(aggregates, problems)
+                notes.append(
+                    f"† {agg.label} on {problem}: {cell.diverged} of "
+                    f"{agg.seeds_per_problem[problem]} runs diverged "
+                    "and were excluded from the mean."
+                )
+            texts.append(text)
+        lines.append("| " + " | ".join(texts) + " |")
     if notes:
         lines.append("")
-        for label, problem, count, total in notes:
-            lines.append(
-                f"† {label} on {problem}: {count} of {total} runs diverged "
-                "and were excluded from the mean."
-            )
+        lines.extend(notes)
     return "\n".join(lines) + "\n"
 
 
-def _emit_csv(aggregates, problems, ranks) -> str:
+def _emit_csv(aggregates, problems, grid) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["algorithm"]
     for problem in problems:
         header.extend([problem, f"{problem}_rank", f"{problem}_diverged"])
     writer.writerow(header)
-    for row_index, agg in enumerate(aggregates):
+    for agg, cells in zip(aggregates, grid):
         row = [agg.label]
-        for problem in problems:
-            mean = agg.means.get(problem)
-            text = "" if mean is None or not math.isfinite(mean) else f"{mean:.2f}"
-            row.extend(
-                [
-                    text,
-                    str(ranks[problem][row_index]),
-                    str(agg.divergent.get(problem, 0)),
-                ]
-            )
+        for cell in cells:
+            text = "" if cell.value is None else f"{cell.value:.2f}"
+            row.extend([text, str(cell.rank), str(cell.diverged)])
         writer.writerow(row)
     return buf.getvalue()

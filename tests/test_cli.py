@@ -259,15 +259,15 @@ def _edited_input(tmp_path, command, keys, value):
 
 
 _SECTIONS = {
-    "run": [("run",), ("run", "optimizer"), ("run", "batch_plan")],
-    "table": [("config",), ("config", "optimizer"), ("config", "batch_plan"), ("results", 1)],
+    "run": [(), ("run",), ("run", "optimizer"), ("run", "batch_plan")],
+    "table": [(), ("config",), ("config", "optimizer"), ("config", "batch_plan"), ("results", 1)],
 }
 
 
 @pytest.mark.parametrize(
     "command, section",
     [(command, section) for command, sections in _SECTIONS.items() for section in sections],
-    ids=lambda x: "-".join(map(str, x)) if isinstance(x, tuple) else x,
+    ids=lambda x: ("-".join(map(str, x)) or "top-level") if isinstance(x, tuple) else x,
 )
 def test_an_unknown_key_is_refused_in_every_section(tmp_path, capsys, command, section):
     # a misspelt key would leave its field at the default: a run section
@@ -552,6 +552,26 @@ def test_sweep_mu_repeated_mu_fails_before_training(tmp_path, capsys):
         run_grid(configs)
     err = str(refused.value)
     assert "config 5: seed 0 of AdaFamily(0.5) on quadratic repeats one from config 4" in err
+
+
+def test_sweep_mu_refuses_a_negative_zero_mu_before_training(tmp_path, monkeypatch, capsys):
+    # -0.0 == 0.0, but it would write AdaFamily(-0.0) beside AdaFamily(0.0)
+    def train(*args):
+        raise AssertionError("trained before refusing the mu")
+
+    monkeypatch.setattr(cli, "run_grid", train)
+    out = tmp_path / "out"
+    argv = ["sweep-mu", "--mus=-0", "--problem", "quadratic", "--seeds", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: mu must lie in [0, 1], got -0.0\n"
+    assert not out.exists()
+
+
+def test_table_refuses_a_negative_zero_mu(tmp_path, capsys):
+    path, argv = _edited_input(tmp_path, "table", ("config", "optimizer", "mu"), -0.0)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed results file (mu must lie in [0, 1]")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-mu"])

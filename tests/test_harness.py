@@ -225,9 +225,8 @@ def test_register_problem_rejects_duplicate_name():
 
 def test_builtin_setups_have_expected_shape():
     quad = build_problem("quadratic")
-    assert not quad.has_data and quad.train is None and quad.test is None
+    assert not quad.problem.requires_batch and quad.train is None and quad.test is None
     blobs = build_problem("blobs-logreg")
-    assert blobs.has_data
     assert blobs.train.n > 0 and blobs.test.n > 0
     assert blobs.problem.requires_batch
 

@@ -421,6 +421,8 @@ def test_nonfinite_lr_scale_rejected(scale):
         dict(beta2=False),
         dict(epsilon=True),
         dict(weight_decay=False),
+        # within the range, but it would label a row AdaFamily(-0.0)
+        dict(mu=-0.0),
     ],
 )
 def test_config_validation_rejects(kw):

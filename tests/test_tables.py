@@ -138,6 +138,37 @@ def test_multi_problem_columns():
     assert lines[3] == "| AdamW | *2.00* | **8.00** |"
 
 
+def test_cells_without_a_finite_mean_across_two_problems():
+    # A's p2 mean overflowed and B's p1 mean is NaN; C has no p2 cell at all
+    a = AggregateResult(label="A", means={"p1": 1.0, "p2": float("inf")})
+    a.divergent = {"p1": 1, "p2": 2}
+    a.seeds_per_problem = {"p1": 4, "p2": 4}
+    b = AggregateResult(label="B", means={"p1": float("nan"), "p2": 2.0})
+    b.divergent = {"p1": 3, "p2": 0}
+    b.seeds_per_problem = {"p1": 4, "p2": 4}
+    c = AggregateResult(label="C", means={"p1": 0.5})
+    c.divergent = {"p1": 0}
+    c.seeds_per_problem = {"p1": 4}
+    # A's p2 cell ranks second but takes no mark; notes run row by row
+    assert emit_table([a, b, c], format="md") == (
+        "| algorithm | p1 | p2 |\n"
+        "| --- | --- | --- |\n"
+        "| A | *1.00*† | n/a† |\n"
+        "| B | n/a† | **2.00** |\n"
+        "| C | **0.50** | n/a |\n"
+        "\n"
+        "† A on p1: 1 of 4 runs diverged and were excluded from the mean.\n"
+        "† A on p2: 2 of 4 runs diverged and were excluded from the mean.\n"
+        "† B on p1: 3 of 4 runs diverged and were excluded from the mean.\n"
+    )
+    assert emit_table([a, b, c], format="csv") == (
+        "algorithm,p1,p1_rank,p1_diverged,p2,p2_rank,p2_diverged\n"
+        "A,1.00,2,1,,2,2\n"
+        "B,,3,3,2.00,1,0\n"
+        "C,0.50,1,0,,3,0\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # csv emission
 
