@@ -2,7 +2,7 @@
 
 Every objective ships with a hand-derived gradient.  The only honest way
 to trust those derivations is an independent oracle: central finite
-differences that call nothing but the loss.  This script draws random
+differences that read nothing but loss values.  This script draws random
 parameters (and batches, for the data-driven problems) and prints the
 worst relative disagreement per problem kind.
 """
@@ -30,8 +30,8 @@ def main():
         print(f"{problem.kind:<12} {problem.dim:>4} {count:>6} {worst:>14.3e}")
     print()
     print(f"worst disagreement anywhere: {overall:.3e} (tolerance 1e-5)")
-    print("the oracle only ever evaluates the loss, so a shared bug in the")
-    print("gradient code cannot hide -- the two computations are disjoint.")
+    print("the oracle uses only the loss values of one stacked evaluation, so")
+    print("a bug in the gradient code cannot hide -- it never reads a gradient.")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ def race(problem, config, budget=20000, threshold=1e-6):
         if first_below is None and loss - problem.min_loss < threshold:
             first_below = t - 1
         params = step(state, params, grad, config)
-    return first_below, problem.loss(params) - problem.min_loss
+    return first_below, problem.loss_grad(params)[0] - problem.min_loss
 
 
 def main():

@@ -176,9 +176,11 @@ class RunConfig:
         for s in self.seeds:
             if not rng.is_seed(s):
                 raise ValueError(f"seeds must be integers in [0, 2**64), got {s!r}")
-        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
-        if repeated:
-            raise ValueError(f"seed {repeated[0]} repeats in seeds {list(self.seeds)}")
+        seen = set()
+        for s in self.seeds:
+            if s in seen:
+                raise ValueError(f"seed {s} repeats in seeds {list(self.seeds)}")
+            seen.add(s)
         if any(type(m) is not int or type(f) not in (int, float) for m, f in self.schedule):
             raise ValueError(f"schedule takes [integer milestone, number factor]: {self.schedule}")
         milestones = [m for m, _ in self.schedule]
@@ -188,9 +190,11 @@ class RunConfig:
             raise ValueError(
                 f"milestones must lie in [0, epochs={self.epochs}): {milestones}"
             )
-        # every factor's milestone lies in [0, epochs), so a bad factor shows
-        # in the sequence, as does a product that underflows or overflows
-        for epoch, scale in enumerate(lr_scale_sequence(self.schedule, self.epochs)):
+        # the scale changes only at milestones, each in [0, epochs): the running
+        # product there meets a bad factor, underflow or overflow first
+        scale = 1.0
+        for epoch, factor in self.schedule:
+            scale *= factor
             if not 0.0 < scale < math.inf:
                 raise ValueError(
                     f"lr scale at epoch {epoch} must be finite and > 0, got {scale}"
@@ -309,7 +313,7 @@ def _evaluate(setup: ProblemSetup, params: np.ndarray) -> np.ndarray:
     """The metric of every row of an (R, dim) parameter stack, in one call:
     top-1 error on the test split, or the loss of an analytic problem."""
     if not setup.problem.requires_batch:
-        return setup.problem.loss(params)
+        return setup.problem.loss_grad(params)[0]
     predicted = setup.problem.predict(params, setup.test.features)
     return 100.0 * np.mean(predicted != setup.test.labels, axis=-1)
 
@@ -621,10 +625,12 @@ def _read_json_file(path: str | Path, version: int) -> dict:
     """The JSON object in ``path``, whose "version" must be ``version``.
 
     A missing file raises FileNotFoundError; anything else that is not such
-    an object (an OSError, bad UTF-8 or JSON) raises ValueError naming the path.
+    an object (an OSError, bad UTF-8 or JSON, a key repeated in one object)
+    raises ValueError naming the path.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text, object_pairs_hook=_without_repeats)
     except FileNotFoundError:
         raise FileNotFoundError(f"{path}: no such file") from None
     except (OSError, ValueError) as exc:
@@ -633,6 +639,17 @@ def _read_json_file(path: str | Path, version: int) -> dict:
     if type(stored) is not int or stored != version:
         raise ValueError(f"{path}: expected a JSON object with version {version}")
     return payload
+
+
+def _without_repeats(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refused when a key repeats (plain
+    `json` would keep its last value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} repeats")
+        out[key] = value
+    return out
 
 
 def _refuse_unknown_keys(payload: dict, *sections: str) -> None:
@@ -693,6 +710,8 @@ def _contradiction(r: RunResult, diverged, final, epochs: int) -> str | None:
     itself or its config's epochs, if it does."""
     if not rng.is_seed(r.seed):
         return "not an integer in [0, 2**64)"
+    if not _is_finite_number(r.elapsed_seconds) or r.elapsed_seconds < 0:
+        return f"elapsed_seconds {r.elapsed_seconds!r} is not a finite number >= 0"
     if type(r.train_loss) is not list or type(r.eval_metric) is not list:
         return "train_loss and eval_metric must be lists"
     stop = r.divergence_epoch

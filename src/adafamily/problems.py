@@ -4,7 +4,7 @@ Four problem kinds: an SPD quadratic and the 2-D Rosenbrock valley
 (analytic, no data), plus multinomial logistic regression and a one-
 hidden-layer tanh MLP (data-driven, softmax cross-entropy).  Every
 analytic gradient is cross-checkable against `finite_diff_grad`, a
-central-difference oracle that only ever calls the loss.
+central-difference oracle that reads only loss values.
 
 Batch reductions are the mean over the batch's rows computed by numpy
 (pairwise summation over a fixed row order), so evaluations are
@@ -13,10 +13,10 @@ roughly 1e-15 per element.
 
 Every evaluation also takes a stack of R parameter vectors, one per run,
 and computes each row independently: row r of a stacked call equals the
-single-run call byte for byte.  `Problem.loss` and `Problem.loss_grad`
-check every call and treat a 1-D call as the one-row stack; every problem
-evaluates stacks only, through one path, so `loss` is the loss that
-`loss_grad` returns.  The two classifiers share one softmax head (see
+single-run call byte for byte.  `Problem.loss_grad` checks every call
+and treats a 1-D call as the one-row stack; every problem evaluates stacks
+only, through one path, and a caller that needs only the loss reads
+``loss_grad(...)[0]``.  The two classifiers share one softmax head (see
 `Problem` and docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
@@ -42,21 +42,14 @@ class Problem:
     an (R, dim) gradient whose row r equals, byte for byte, the 1-D call on
     row r (with row r of the batch when the batch is stacked too).
 
-    `loss` and `loss_grad` check the call and evaluate a 1-D call as the
-    one-row stack.  Both evaluate through `_loss_grad`, the one evaluation
-    path, so a subclass supplies only `_loss_grad` over (R, dim) stacks and
-    `init_params`.
+    `loss_grad` checks the call and evaluates a 1-D call as the one-row
+    stack, through `_loss_grad`, the one evaluation path; a subclass
+    supplies only `_loss_grad` over (R, dim) stacks and `init_params`.
     """
 
     kind: str = "abstract"
     dim: int = 0
     requires_batch: bool = False
-
-    def loss(self, params: np.ndarray, batch: Batch | None = None):
-        self._check_eval(params, batch)
-        # the private method: a traced `loss` must not count as a `loss_grad` call
-        losses = self._loss_grad(params.reshape(-1, self.dim), batch)[0]
-        return float(losses[0]) if params.ndim == 1 else losses
 
     def loss_grad(self, params: np.ndarray, batch: Batch | None = None):
         self._check_eval(params, batch)
@@ -72,11 +65,14 @@ class Problem:
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_eval(self, params: np.ndarray, batch: Batch | None) -> None:
+    def _check_params(self, params: np.ndarray) -> None:
         if params.ndim not in (1, 2) or params.shape[-1] != self.dim:
             raise ValueError(
                 f"{self.kind} expects {self.dim} parameters, got shape {params.shape}"
             )
+
+    def _check_eval(self, params: np.ndarray, batch: Batch | None) -> None:
+        self._check_params(params)
         if self.requires_batch and batch is None:
             raise ValueError(f"{self.kind} needs a batch")
         if not self.requires_batch and batch is not None:
@@ -108,17 +104,8 @@ class Quadratic(Problem):
         self.matrix = matrix
         self.rhs = rhs
         self.dim = matrix.shape[0]
-        self._optimum = np.linalg.solve(matrix, rhs)
-
-    @property
-    def optimum(self) -> np.ndarray:
-        """The unique minimizer A^{-1} b."""
-        return self._optimum.copy()
-
-    @property
-    def min_loss(self) -> float:
-        """f at the minimizer: -0.5 b'A^{-1}b."""
-        return -0.5 * float(self.rhs @ self._optimum)
+        # f at the minimizer A^{-1} b
+        self.min_loss = -0.5 * float(rhs @ np.linalg.solve(matrix, rhs))
 
     def _loss_grad(self, stack, batch):
         # matmul makes one gemv per row, as A @ row does; stack @ A' would be
@@ -237,13 +224,16 @@ class _Classifier(Problem):
         self._layout = layout
         self.dim = sum(math.prod(shape) for shape in layout)
 
-    def _check_eval(self, params, batch):
-        super()._check_eval(params, batch)
-        if batch.features.shape[-1] != self.num_features:
+    def _check_features(self, features: np.ndarray) -> None:
+        if features.shape[-1] != self.num_features:
             raise ValueError(
-                f"batch has {batch.features.shape[-1]} features, "
+                f"batch has {features.shape[-1]} features, "
                 f"problem expects {self.num_features}"
             )
+
+    def _check_eval(self, params, batch):
+        super()._check_eval(params, batch)
+        self._check_features(batch.features)
         if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
             raise ValueError(f"batch labels must lie in [0, {self.num_classes})")
 
@@ -273,6 +263,9 @@ class _Classifier(Problem):
         return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
 
     def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Argmax labels per parameter row, checked as `loss_grad` checks."""
+        self._check_params(params)
+        self._check_features(features)
         logits = self._forward(params.reshape(-1, self.dim), features)[-1]
         labels = np.argmax(logits, axis=-1)
         return labels[0] if params.ndim == 1 else labels
@@ -348,25 +341,29 @@ class MLP1(_Classifier):
         return scaled
 
 
+_FD_STEP = 1e-6  # the h of `finite_diff_grad`
+
+
 def finite_diff_grad(
-    problem: Problem,
-    params: np.ndarray,
-    batch: Batch | None = None,
-    h: float = 1e-6,
+    problem: Problem, params: np.ndarray, batch: Batch | None = None
 ) -> np.ndarray:
-    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h, one coordinate at a time."""
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
+    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h with h = 1e-6.
+
+    All 2*dim probes are rows of one stacked `loss_grad` call, whose losses
+    alone are read; row r of a stack is the 1-D call on it, so each entry
+    is the one a coordinate-at-a-time loop gives.  The probes take
+    2*dim*dim floats.
+    """
     params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    for i in range(params.shape[0]):
-        bumped = params.copy()
-        bumped[i] = params[i] + h
-        hi = problem.loss(bumped, batch)
-        bumped[i] = params[i] - h
-        lo = problem.loss(bumped, batch)
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
+    dim = params.shape[0]
+    # each probe copies the row and sets one entry: params + h*I would turn
+    # a -0.0 elsewhere in the row into +0.0
+    probes = np.tile(params, (2 * dim, 1))
+    i = np.arange(dim)
+    probes[i, i] = params + _FD_STEP
+    probes[dim + i, i] = params - _FD_STEP
+    losses = problem.loss_grad(probes, batch)[0]
+    return (losses[:dim] - losses[dim:]) / (2.0 * _FD_STEP)
 
 
 def relative_error(a, b) -> float:

@@ -129,7 +129,7 @@ def _quadratic_first_hits(threshold):
             params = step(state, params, grad, config)
         hits[config.label] = first
         if config.label == "Adam":
-            adam_final_gap = problem.loss(params) - problem.min_loss
+            adam_final_gap = problem.loss_grad(params)[0] - problem.min_loss
     return hits, adam_final_gap, problem.min_loss
 
 

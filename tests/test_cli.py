@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,26 @@ def test_an_unknown_key_is_refused_in_every_section(tmp_path, capsys, command, s
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: malformed") and "'seedz'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("run", "quadratic_run.json"), ("table", "smoke/blobs-mlp1--adam.json")],
+    ids=["run", "table"],
+)
+def test_a_key_repeated_in_one_object_is_refused(tmp_path, capsys, command, source):
+    # json keeps the last value: the run config would train 40 epochs, not 50
+    path = tmp_path / Path(source).name
+    text = (FIXTURES / source).read_text()
+    path.write_text(re.sub(r'("epochs": \d+,)', r'\1 "epochs": 40,', text, count=1))
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["table", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: cannot read JSON (key 'epochs' repeats)\n"
+    assert not out.exists()
 
 
 _PAIRS = [["batch_size", 32], ["shuffle_seed", 12345]]

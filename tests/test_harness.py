@@ -1,10 +1,12 @@
 """Tests for the benchmark harness: schedules, runs, grids, persistence."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -60,6 +62,23 @@ def _blobs_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+@contextlib.contextmanager
+def _fails_after(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass, so
+    a check that scales with a claimed size fails fast instead of running on."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +158,14 @@ def test_run_config_rejects_scale_that_overflows():
 def test_run_config_rejects_repeated_seed():
     with pytest.raises(ValueError, match="seed 0 repeats"):
         _quad_config(seeds=(0, 1, 0))
+
+
+def test_run_config_checks_many_distinct_seeds_at_once():
+    seeds = tuple(range(200_000))
+    with _fails_after(2.0):
+        assert _quad_config(seeds=seeds).seeds == seeds
+        with pytest.raises(ValueError, match="seed 7 repeats"):
+            _quad_config(seeds=seeds + (7, 3))
 
 
 @pytest.mark.parametrize("seed", ["0", 0.5, -1, 2**64, True, None])
@@ -735,6 +762,12 @@ _CONTRADICTIONS = {
     ),
     "string-train-loss": (lambda run: dict(train_loss=["1.0"] * 3), "only finite numbers"),
     "bool-train-loss": (lambda run: dict(train_loss=[True] * 3), "only finite numbers"),
+    "string-elapsed": (lambda run: dict(elapsed_seconds="fast"), "elapsed_seconds 'fast' is not"),
+    "negative-elapsed": (lambda run: dict(elapsed_seconds=-1.5), "elapsed_seconds -1.5 is not"),
+    "nan-elapsed": (lambda run: dict(elapsed_seconds=math.nan), "elapsed_seconds nan is not"),
+    # written as Infinity, which reads as inf, as 1e999 does
+    "inf-elapsed": (lambda run: dict(elapsed_seconds=math.inf), "elapsed_seconds inf is not"),
+    "bool-elapsed": (lambda run: dict(elapsed_seconds=True), "elapsed_seconds True is not"),
 }
 
 
@@ -761,6 +794,19 @@ def test_load_results_refuses_runs_that_contradict_the_config(tmp_path, case):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=rf"cell.json: seed 1: .*{message}"):
         load_results(path)
+
+
+def test_load_results_refuses_a_trillion_epochs_on_the_lists_at_once(tmp_path):
+    # the config is checked at its milestones, not per claimed epoch
+    config = _quad_config(epochs=2, schedule=((1, 0.5),))
+    path = tmp_path / "cell.json"
+    save_results(path, config, run_configs([config])[0])
+    payload = json.loads(path.read_text())
+    payload["config"]["epochs"] = 10**12
+    path.write_text(json.dumps(payload))
+    with _fails_after(2.0):
+        with pytest.raises(ValueError, match=r"hold 2 and 2 epochs, not 1000000000000$"):
+            load_results(path)
 
 
 def test_aggregate_result_files_merges_seed_batches(tmp_path):

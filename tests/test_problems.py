@@ -1,6 +1,7 @@
 """Tests for the objective functions and the finite-difference oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,12 +46,12 @@ def test_quadratic_identity_values():
 
 def test_quadratic_minimum_is_floor():
     q = spd_quadratic(7, 6, 30.0)
-    at_min, grad_at_min = q.loss_grad(q.optimum)
+    at_min, grad_at_min = q.loss_grad(np.linalg.solve(q.matrix, q.rhs))
     assert at_min == pytest.approx(q.min_loss, abs=1e-12)
     assert np.max(np.abs(grad_at_min)) < 1e-10
     for i in range(20):
         theta = rng.normals(rng.derive_key(77, i), q.dim)
-        assert q.loss(theta) >= q.min_loss - 1e-12
+        assert q.loss_grad(theta)[0] >= q.min_loss - 1e-12
 
 
 def test_quadratic_validation():
@@ -123,7 +124,7 @@ def test_rosenbrock_nonnegative():
     r = Rosenbrock2D()
     pts = rng.normals(55, 100).reshape(50, 2) * 2.0
     for p in pts:
-        assert r.loss(p) >= 0.0
+        assert r.loss_grad(p)[0] >= 0.0
 
 
 # -------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_cross_entropy_nonnegative():
                 np.int64
             ),
         )
-        assert lr.loss(params, batch) >= 0.0
+        assert lr.loss_grad(params, batch)[0] >= 0.0
 
 
 def test_softmax_is_stable_at_huge_logits():
@@ -237,12 +238,6 @@ def test_batch_feature_width_and_label_range_checked():
         lr.loss_grad(np.zeros(lr.dim), bad_labels)
 
 
-def test_finite_diff_requires_positive_h():
-    q = Quadratic(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        finite_diff_grad(q, np.zeros(2), h=0.0)
-
-
 # -------------------------------------------------------------------------
 # batch-mean semantics
 # -------------------------------------------------------------------------
@@ -299,6 +294,57 @@ def test_gradient_check_all_kinds_20_draws():
     assert worst < 1e-5
 
 
+def _per_coordinate_fd(problem, params, batch):
+    # the coordinate-at-a-time oracle: two 1-D loss evaluations per entry
+    h = 1e-6
+    grad = np.zeros_like(params)
+    for i in range(params.shape[0]):
+        bumped = params.copy()
+        bumped[i] = params[i] + h
+        hi = problem.loss_grad(bumped, batch)[0]
+        bumped[i] = params[i] - h
+        lo = problem.loss_grad(bumped, batch)[0]
+        grad[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+def _recording_loss_grad(problem):
+    """The stacks that ``problem``'s `loss_grad` is called with from now on."""
+    calls, real = [], problem.loss_grad
+
+    def recorded(params, batch=None):
+        calls.append(params.copy())
+        return real(params, batch)
+
+    problem.loss_grad = recorded
+    return calls
+
+
+def test_finite_diff_grad_is_the_per_coordinate_loop_in_one_call():
+    draws = 0
+    for problem, pairs in default_problems_for_gradcheck():
+        for params, batch in pairs:
+            expected = _per_coordinate_fd(problem, params, batch)
+            calls = _recording_loss_grad(problem)
+            assert finite_diff_grad(problem, params, batch).tobytes() == expected.tobytes()
+            assert [c.shape for c in calls] == [(2 * problem.dim, problem.dim)]
+            del problem.loss_grad
+            draws += 1
+    assert draws == 80
+
+
+def test_finite_diff_probes_keep_negative_zeros():
+    q = Quadratic(np.eye(3), np.array([1.0, -2.0, 0.5]))
+    theta = np.array([-0.0, 0.25, -0.0])
+    calls = _recording_loss_grad(q)
+    finite_diff_grad(q, theta)
+    for k, probe in enumerate(calls[0]):
+        i = k % 3
+        others = np.arange(3) != i
+        assert probe[others].tobytes() == theta[others].tobytes()
+        assert probe[i] == theta[i] + (1e-6 if k < 3 else -1e-6)
+
+
 def test_quadratic_fd_is_tight():
     # central differences are exact for quadratics up to roundoff
     q = Quadratic(np.eye(3), np.array([1.0, -2.0, 0.5]))
@@ -352,32 +398,24 @@ def _stack_cases():
 
 
 def test_stacked_loss_grad_rows_equal_single_calls():
-    # loss, stacked or one row as a float, must give the bytes of loss_grad's loss
     for problem, params, feats, labels in _stack_cases():
         losses, grads = problem.loss_grad(params, Batch(feats, labels))
         assert losses.shape == (len(params),) and grads.shape == params.shape
-        assert problem.loss(params, Batch(feats, labels)).tobytes() == losses.tobytes()
         for r, row in enumerate(params):
             loss, grad = problem.loss_grad(row, Batch(feats[r], labels[r]))
             assert isinstance(loss, float)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
-            loss_only = problem.loss(row, Batch(feats[r], labels[r]))
-            assert isinstance(loss_only, float)
-            assert np.float64(loss_only).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_params_over_one_shared_batch_equal_single_calls():
     for problem, params, feats, labels in _stack_cases():
         shared = Batch(feats[0], labels[0])
         losses, grads = problem.loss_grad(params, shared)
-        assert problem.loss(params, shared).tobytes() == losses.tobytes()
         for r, row in enumerate(params):
             loss, grad = problem.loss_grad(row, shared)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
-            loss_only = problem.loss(row, shared)
-            assert np.float64(loss_only).tobytes() == losses[r].tobytes()
 
 
 def test_stacked_predict_rows_equal_single_calls():
@@ -420,18 +458,30 @@ def test_analytic_stacked_rows_equal_single_calls_and_row_formulas():
     for problem, stack in _analytic_stacks():
         losses, grads = problem.loss_grad(stack)
         assert losses.shape == (len(stack),) and grads.shape == stack.shape
-        assert problem.loss(stack).tobytes() == losses.tobytes()
         overflowed += int(np.isinf(losses).sum())
         for r, row in enumerate(stack):
             loss, grad = problem.loss_grad(row)
             assert isinstance(loss, float)
             assert np.float64(loss).tobytes() == losses[r].tobytes()
             assert grad.tobytes() == grads[r].tobytes()
-            assert np.float64(problem.loss(row)).tobytes() == losses[r].tobytes()
             ref_loss, ref_grad = _analytic_row_reference(problem, row)
             assert np.float64(ref_loss).tobytes() == losses[r].tobytes()
             assert ref_grad.tobytes() == grads[r].tobytes()
     assert overflowed > 0
+
+
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["1-D", "stacked"])
+def test_predict_checks_the_call_as_loss_grad_does(rows):
+    mlp = MLP1(8, 3, hidden=16)
+    feats = rng.normals(81, 5 * 8).reshape(5, 8)
+    labels = np.zeros(5, dtype=np.int64)
+    # twice the parameters, and a batch one feature short
+    for width, features in ((390, feats), (195, feats[:, :7])):
+        params = np.zeros(rows + (width,))
+        with pytest.raises(ValueError) as refused:
+            mlp.loss_grad(params, Batch(features, labels))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            mlp.predict(params, features)
 
 
 def test_stacked_batch_needs_one_parameter_row_per_batch():
