@@ -1,7 +1,9 @@
 """Self-checks and plain-Python reference step rules.
 
 The ``ref_*_run`` functions re-derive every update with scalar Python
-floats and explicit loops, sharing no code with the vectorized module.
+floats in one explicit loop, `_scalar_run`, sharing no code with the
+vectorized module; each states what its rule squares into v and where
+its eps sits.
 They are the oracle side of every dual-route test: the fast path in
 :mod:`adafamily.optim` must reproduce their trajectories to within 1e-12
 relative.  Two of them (``ref_adam_eps_in_v_run``,
@@ -40,6 +42,49 @@ def _decayed(theta_new: list[float], theta_old: Vector, eta: float, lam: float) 
     return [tn - eta * lam * to for tn, to in zip(theta_new, theta_old)]
 
 
+def _scalar_run(
+    squared: Callable[[float, float], float],
+    grads: Sequence[Vector],
+    theta0: Vector,
+    alpha: float,
+    beta1: float,
+    beta2: float,
+    v_eps: float,
+    den_eps: float,
+    weight_decay: float = 0.0,
+    lr_scales: Sequence[float] | None = None,
+    coupled: bool = False,
+) -> list[list[float]]:
+    """The loop every oracle shares; returns the parameter vector after each step.
+
+    ``squared(g, m)`` is what the rule squares into v, given the gradient
+    and the updated first moment.  ``v_eps`` is added to v and ``den_eps`` to
+    sqrt(v_hat); an eps of 0.0 adds nothing, since neither is ever -0.0.
+    Coupled decay adds lam * theta to the gradient; decoupled decay goes
+    through `_decayed`.
+    """
+    d = len(theta0)
+    m = [0.0] * d
+    v = [0.0] * d
+    theta = list(theta0)
+    out = []
+    for t, g in enumerate(grads, start=1):
+        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
+        if coupled and weight_decay > 0.0:
+            g = [gi + weight_decay * ti for gi, ti in zip(g, theta)]
+        new = [0.0] * d
+        for i in range(d):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+            s = squared(g[i], m[i])
+            v[i] = beta2 * v[i] + (1.0 - beta2) * s * s + v_eps
+            m_hat = m[i] / (1.0 - beta1**t)
+            v_hat = v[i] / (1.0 - beta2**t)
+            new[i] = theta[i] - eta * m_hat / (math.sqrt(v_hat) + den_eps)
+        theta = new if coupled else _decayed(new, theta, eta, weight_decay)
+        out.append(list(theta))
+    return out
+
+
 def ref_adafamily_run(
     mu: float,
     grads: Sequence[Vector],
@@ -52,25 +97,12 @@ def ref_adafamily_run(
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
     """Scalar-loop blended rule; returns the parameter vector after each step."""
-    d = len(theta0)
     c = 2.0 * (1.0 - abs(mu - 0.5))
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            s = c * ((1.0 - mu) * g[i] - mu * m[i])
-            v[i] = beta2 * v[i] + (1.0 - beta2) * s * s + eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / math.sqrt(v_hat)
-        theta = _decayed(new, theta, eta, weight_decay)
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: c * ((1.0 - mu) * g - mu * m),
+        grads, theta0, alpha, beta1, beta2,
+        v_eps=eps, den_eps=0.0, weight_decay=weight_decay, lr_scales=lr_scales,
+    )
 
 
 def ref_adam_run(
@@ -84,24 +116,12 @@ def ref_adam_run(
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
     """Scalar-loop Adam with coupled (L2-style) decay."""
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        new = [0.0] * d
-        for i in range(d):
-            gi = g[i] + weight_decay * theta[i] if weight_decay > 0.0 else g[i]
-            m[i] = beta1 * m[i] + (1.0 - beta1) * gi
-            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / (math.sqrt(v_hat) + eps)
-        theta = new
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: g,
+        grads, theta0, alpha, beta1, beta2,
+        v_eps=0.0, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
+        coupled=True,
+    )
 
 
 def ref_adamw_run(
@@ -115,23 +135,11 @@ def ref_adamw_run(
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
     """Scalar-loop AdamW: Adam gradient path plus decoupled decay."""
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / (math.sqrt(v_hat) + eps)
-        theta = _decayed(new, theta, eta, weight_decay)
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: g,
+        grads, theta0, alpha, beta1, beta2,
+        v_eps=0.0, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
+    )
 
 
 def ref_adabelief_run(
@@ -146,24 +154,11 @@ def ref_adabelief_run(
 ) -> list[list[float]]:
     """Scalar-loop AdaBelief: v squares (g - m), +eps in v AND eps in the
     denominator, per the method's original form."""
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            r = g[i] - m[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * r * r + eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / (math.sqrt(v_hat) + eps)
-        theta = _decayed(new, theta, eta, weight_decay)
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: g - m,
+        grads, theta0, alpha, beta1, beta2,
+        v_eps=eps, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
+    )
 
 
 def ref_adamomentum_run(
@@ -177,23 +172,11 @@ def ref_adamomentum_run(
     lr_scales: Sequence[float] | None = None,
 ) -> list[list[float]]:
     """Scalar-loop AdaMomentum: v squares m, eps inside v, bare sqrt below."""
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * m[i] * m[i] + eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / math.sqrt(v_hat)
-        theta = _decayed(new, theta, eta, weight_decay)
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: m,
+        grads, theta0, alpha, beta1, beta2,
+        v_eps=eps, den_eps=0.0, weight_decay=weight_decay, lr_scales=lr_scales,
+    )
 
 
 def ref_adam_eps_in_v_run(
@@ -209,22 +192,9 @@ def ref_adam_eps_in_v_run(
     This is what the blended rule reduces to at mu = 0; it is close to, but
     not the same as, standard Adam.
     """
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i] + eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - alpha * m_hat / math.sqrt(v_hat)
-        theta = new
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: g, grads, theta0, alpha, beta1, beta2, v_eps=eps, den_eps=0.0
+    )
 
 
 def ref_adabelief_eps_in_v_run(
@@ -239,23 +209,9 @@ def ref_adabelief_eps_in_v_run(
 
     This is what the blended rule reduces to at mu = 0.5.
     """
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            r = g[i] - m[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * r * r + eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - alpha * m_hat / math.sqrt(v_hat)
-        theta = new
-        out.append(list(theta))
-    return out
+    return _scalar_run(
+        lambda g, m: g - m, grads, theta0, alpha, beta1, beta2, v_eps=eps, den_eps=0.0
+    )
 
 
 def trajectory(
@@ -321,16 +277,8 @@ def _endpoint_divergence(mu: float, oracle: Callable[..., list[list[float]]]) ->
 
 
 def check_endpoint_adamomentum() -> tuple[bool, str]:
-    dim, steps = 32, 100
-    theta0 = rng.normals(13, dim)
-    af = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=1.0)
-    am = OptimizerConfig(algorithm=Algorithm.ADAMOMENTUM)
-    streams = _random_grad_streams(14, 5, steps, dim)
-    worst = relative_error(
-        [trajectory(af, grads, theta0) for grads in streams],
-        [trajectory(am, grads, theta0) for grads in streams],
-    )
-    return worst < 1e-12, f"mu=1.0 vs AdaMomentum divergence {worst:.3e}"
+    worst = _endpoint_divergence(1.0, ref_adamomentum_run)
+    return worst < 1e-12, f"mu=1.0 vs AdaMomentum oracle divergence {worst:.3e}"
 
 
 def check_endpoint_adam_eps_in_v() -> tuple[bool, str]:

@@ -77,12 +77,16 @@ class Problem:
             raise ValueError(f"{self.kind} needs a batch")
         if not self.requires_batch and batch is not None:
             raise ValueError(f"{self.kind} is analytic, a batch makes no sense here")
-        if batch is not None and batch.features.ndim == 3:
-            if params.ndim != 2 or batch.features.shape[0] != params.shape[0]:
-                raise ValueError(
-                    f"a stack of {batch.features.shape[0]} batches needs as many "
-                    f"parameter rows, got shape {params.shape}"
-                )
+        if batch is not None:
+            self._check_stack(params, batch.features)
+
+    def _check_stack(self, params: np.ndarray, features: np.ndarray) -> None:
+        # a stack of batches takes one parameter row per batch
+        if features.ndim == 3 and (params.ndim != 2 or features.shape[0] != params.shape[0]):
+            raise ValueError(
+                f"a stack of {features.shape[0]} batches needs as many "
+                f"parameter rows, got shape {params.shape}"
+            )
 
 
 class Quadratic(Problem):
@@ -203,9 +207,9 @@ def _transposed(matrices: np.ndarray) -> np.ndarray:
 class _Classifier(Problem):
     """Softmax cross-entropy over a linear head: logits = inputs @ W' + b.
 
-    A subclass passes its parameter layout, a tuple of block shapes whose
-    last two blocks are the head's W (num_classes x width, row-major) and
-    b (num_classes), and supplies two hooks over the stacked views of the
+    A subclass passes its parameter layout, a tuple of (W, b) block shape
+    pairs whose last pair is the head's W (num_classes x width, row-major)
+    and b (num_classes), and supplies two hooks over the stacked views of the
     blocks before the head (its body):
 
     - `_head_inputs(body, features)`: the (R, n, width) head inputs, or
@@ -237,6 +241,16 @@ class _Classifier(Problem):
         if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
             raise ValueError(f"batch labels must lie in [0, {self.num_classes})")
 
+    def init_params(self, seed: int) -> np.ndarray:
+        # uniform(-s, s) per (W, b) block pair, s = 1/sqrt(fan_in of that W)
+        params = 2.0 * rng.uniforms(rng.derive_key(seed, 0), self.dim) - 1.0
+        blocks = self._unpack(params)
+        for w, b in zip(blocks[::2], blocks[1::2]):
+            scale = 1.0 / math.sqrt(w.shape[-1])
+            w *= scale
+            b *= scale
+        return params
+
     def _unpack(self, params: np.ndarray) -> list[np.ndarray]:
         # (..., dim) -> one view into params per layout block, (..., *shape)
         lead, views, start = params.shape[:-1], [], 0
@@ -265,6 +279,7 @@ class _Classifier(Problem):
     def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Argmax labels per parameter row, checked as `loss_grad` checks."""
         self._check_params(params)
+        self._check_stack(params, features)
         self._check_features(features)
         logits = self._forward(params.reshape(-1, self.dim), features)[-1]
         labels = np.argmax(logits, axis=-1)
@@ -289,12 +304,6 @@ class LogisticRegression(_Classifier):
 
     def _body_grad(self, body, w, features, inputs, dlogits):
         return []
-
-    def init_params(self, seed: int) -> np.ndarray:
-        # uniform(-s, s) with s = 1/sqrt(fan_in) for weights and biases
-        s = 1.0 / math.sqrt(self.num_features)
-        u = rng.uniforms(rng.derive_key(seed, 0), self.dim)
-        return s * (2.0 * u - 1.0)
 
 
 class MLP1(_Classifier):
@@ -328,17 +337,6 @@ class MLP1(_Classifier):
         np.subtract(1.0, a1, out=a1)
         dz1 *= a1
         return [_transposed(dz1) @ features, _over_batch(dz1)]
-
-    def init_params(self, seed: int) -> np.ndarray:
-        # uniform(-s, s) per layer with s = 1/sqrt(fan_in of that layer)
-        s1 = 1.0 / math.sqrt(self.num_features)
-        s2 = 1.0 / math.sqrt(self.hidden)
-        u = rng.uniforms(rng.derive_key(seed, 0), self.dim)
-        scaled = 2.0 * u - 1.0
-        n1 = self.hidden * (self.num_features + 1)
-        scaled[:n1] *= s1
-        scaled[n1:] *= s2
-        return scaled
 
 
 _FD_STEP = 1e-6  # the h of `finite_diff_grad`

@@ -6,6 +6,8 @@ share no code with it.
 """
 
 import dataclasses
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -211,6 +213,59 @@ def test_lr_scale_enters_both_gradient_move_and_decay():
         0.75, grads.tolist(), theta0.tolist(), weight_decay=1e-2, lr_scales=scales
     )
     assert relative_error(fast, ref) < 1e-12
+
+
+# each oracle's float64 trajectories, hashed: the dual-route tests allow
+# 1e-12 relative, so only these notice an oracle that rounds differently
+_ORACLE_DIGESTS = {
+    "adafamily-mu0.0": "bc22ae02a147dbb12d2011ca65ff9621c07a5c2e608d44bf58f0824805252332",
+    "adafamily-mu0.25": "7ff81bb4ecdf4e84a9881030ed52a6ae3c90cfea610e6f07dd3e32420530b086",
+    "adafamily-mu0.5": "091d72fe4b714725203c1cb5ff8ee86eae077d7ef1daab7b8d4bbd3709225b37",
+    "adafamily-mu0.75": "a99ea38c8abd27a3cd64d0a46e42d4d2c65916a4db24aafe7e4e905853ccd64d",
+    "adafamily-mu1.0": "024148ff69949e80a9114861a6c305be32f5ff7149c1a7e51b4f303a2b2e1a37",
+    "adam": "3b5f2ccdb17a8d05b2d777a26cd15ad794ef11ce49d380b614282d4bf477bdf1",
+    "adamw": "b2dd5c052c6d015903dc9d0d382e34aa3fc1bdbadaef9d5f09a4defadd02596d",
+    "adabelief": "67cee4bc3ee2e9a8367464272cd41eb56fed7d84e81e50e43899f48c1987eee1",
+    # mu = 1 squares -m, so the blend's oracle is AdaMomentum's bit for bit
+    "adamomentum": "024148ff69949e80a9114861a6c305be32f5ff7149c1a7e51b4f303a2b2e1a37",
+    "adam-eps-in-v": "c187043f82903796c32490408c18b62bea3a35964dbed091a4fbdfff861a3655",
+    "adabelief-eps-in-v": "86651b1066969db6a692b21825a91720f15bee370288fc20b4d4cdbd1bd3ded6",
+}
+
+_FROZEN_ORACLES = [
+    *((f"adafamily-mu{mu}", functools.partial(ref_adafamily_run, mu), True) for mu in GRID_MUS),
+    ("adam", ref_adam_run, True),
+    ("adamw", ref_adamw_run, True),
+    ("adabelief", ref_adabelief_run, True),
+    ("adamomentum", ref_adamomentum_run, True),
+    ("adam-eps-in-v", ref_adam_eps_in_v_run, False),
+    ("adabelief-eps-in-v", ref_adabelief_eps_in_v_run, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,oracle,takes_decay", _FROZEN_ORACLES, ids=[n for n, _, _ in _FROZEN_ORACLES]
+)
+def test_oracle_trajectories_are_frozen(name, oracle, takes_decay):
+    # columns scaled 1e-6 .. 1e5, and a last column of signed zero
+    # gradients from a -0.0 start
+    theta0, grads = _random_run(4000, steps=30, dim=7)
+    grads *= [1e-6, 1e-3, 1.0, 1e2, 1e5, 1.0, 1.0]
+    grads[:, 6] = np.copysign(0.0, grads[:, 6])
+    theta0[6] = -0.0
+    variants = [{}]
+    if takes_decay:
+        schedule = [1.0] * 10 + [0.5] * 10 + [0.1] * 10
+        variants = [
+            dict(weight_decay=lam, lr_scales=scales)
+            for lam in (0.0, 1e-4, 0.1)
+            for scales in (None, schedule)
+        ]
+    digest = hashlib.sha256()
+    for kw in variants:
+        run = oracle(grads.tolist(), theta0.tolist(), **kw)
+        digest.update(np.array(run, dtype="<f8").tobytes())
+    assert digest.hexdigest() == _ORACLE_DIGESTS[name]
 
 
 # -------------------------------------------------------------------------

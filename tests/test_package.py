@@ -31,3 +31,49 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _module_level_names(tree):
+    # name -> the def or assignment that binds it at module level
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bound[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node
+    return bound
+
+
+def test_the_scalar_oracles_name_nothing_from_optim():
+    # the oracles are the independent side of every dual-route test: no
+    # ref_*_run, nor any module-level name it reaches (lambdas included),
+    # may use what checks takes from optim
+    tree = ast.parse((ROOT / "src" / "adafamily" / "checks.py").read_text(encoding="utf-8"))
+    from_optim = {"optim"} | {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "optim"
+        for alias in node.names
+    }
+    bound = _module_level_names(tree)
+    oracles = [name for name in bound if name.startswith("ref_") and name.endswith("_run")]
+    assert len(oracles) == 7
+    reached, todo = set(), list(oracles)
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(bound[name]):
+            if isinstance(node, ast.Name) and node.id in bound and node.id not in reached:
+                todo.append(node.id)
+    used = {
+        f"{name}: {node.id}"
+        for name in reached
+        for node in ast.walk(bound[name])
+        if isinstance(node, ast.Name) and node.id in from_optim
+    }
+    assert "_scalar_run" in reached
+    assert sorted(used) == []

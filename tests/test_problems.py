@@ -484,6 +484,23 @@ def test_predict_checks_the_call_as_loss_grad_does(rows):
             mlp.predict(params, features)
 
 
+@pytest.mark.parametrize(
+    "shape,stack",
+    [((195,), 2), ((2, 195), 1), ((2, 195), 3)],
+    ids=["1-D-params", "one-batch-for-two-rows", "three-batches-for-two-rows"],
+)
+def test_predict_refuses_a_stack_as_loss_grad_does(shape, stack):
+    # a 1-D row would drop every batch but the first, one batch would
+    # broadcast across the rows, and three would fail inside matmul
+    mlp = MLP1(8, 3, hidden=16)
+    params, features = np.zeros(shape), np.zeros((stack, 5, 8))
+    with pytest.raises(ValueError) as refused:
+        mlp.loss_grad(params, Batch(features, np.zeros((stack, 5), dtype=np.int64)))
+    assert f"a stack of {stack} batches" in str(refused.value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        mlp.predict(params, features)
+
+
 def test_stacked_batch_needs_one_parameter_row_per_batch():
     problem, params, feats, labels = next(_stack_cases())
     with pytest.raises(ValueError, match="stack of 9 batches"):
