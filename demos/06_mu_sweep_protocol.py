@@ -21,10 +21,10 @@ def main():
     configs = sweep_mu_configs(MU_GRID, "blobs-mlp1", seeds=range(3))
     print(f"running {len(configs)} configs x 3 seeds x 30 epochs ...")
     start = time.perf_counter()
-    aggregates, _ = run_grid(configs)
+    cells = run_grid(configs)
     print(f"done in {time.perf_counter() - start:.1f}s")
     print()
-    print(emit_table(aggregates, format="md"))
+    print(emit_table(cells, format="md"))
     print("cells are mean top-1 error (percent) over seeds; bold is the")
     print("best column entry, italic the second best.  Rerunning this")
     print("script reproduces the table bit for bit.")

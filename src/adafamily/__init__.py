@@ -9,7 +9,6 @@ from .data import (
     split,
 )
 from .harness import (
-    AggregateResult,
     ProblemSetup,
     RunConfig,
     RunResult,
@@ -44,7 +43,6 @@ from .tables import emit_table
 
 __all__ = [
     "Algorithm",
-    "AggregateResult",
     "Batch",
     "BatchPlan",
     "BufferMismatchError",

@@ -83,13 +83,13 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
     )
     out_dir = _out_dir(args.out)
-    aggregates, cells = run_grid(configs)
+    cells = run_grid(configs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for config in configs:
         # each config of the sweep is a cell of its own
         path = out_dir / results_filename(config)
         save_results(path, config, cells[config.optimizer.label, config.problem])
-    table = emit_table(aggregates, args.format)
+    table = emit_table(cells, args.format)
     table_path = out_dir / f"sweep_{args.problem}.{args.format}"
     write_text_atomic(table_path, table)
     _print_table(table)
@@ -98,8 +98,7 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    aggregates = aggregate_result_files(args.files)
-    _print_table(emit_table(aggregates, args.format))
+    _print_table(emit_table(aggregate_result_files(args.files), args.format))
     return 0
 
 

@@ -2,11 +2,12 @@
 
 A run trains one optimizer configuration on one registered problem for a
 fixed number of epochs under a step-decay schedule, evaluating a metric
-each epoch.  Grids aggregate many runs into per-algorithm rows with
-per-problem means; :mod:`adafamily.tables` ranks them.  Everything is
-deterministic given the config: datasets, parameter inits, and epoch
-shuffles all derive from integer seeds through :mod:`adafamily.rng`, and
-a run seed only enters through `init_params` and the per-run shuffle key.
+each epoch.  Grids fold many runs into (label, problem) cells, each a
+list of runs in seed order; :mod:`adafamily.tables` averages and ranks
+them.  Everything is deterministic given the config: datasets, parameter
+inits, and epoch shuffles all derive from integer seeds through
+:mod:`adafamily.rng`, and a run seed only enters through `init_params`
+and the per-run shuffle key.
 
 Desk-scale defaults mirror a common image-classification protocol shape
 at 1/5 size: 30 epochs, batch 32, learning rate halved after epochs 10
@@ -21,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
@@ -231,7 +232,7 @@ class RunConfig:
         if plan is not None:
             plan = _fields("batch_plan", plan)
             drop_last = plan.pop("drop_last", False)
-            if drop_last:
+            if drop_last is not False:
                 raise ValueError(
                     f"drop_last {drop_last!r} is not false; every epoch keeps "
                     "its short last batch"
@@ -283,16 +284,6 @@ class RunResult:
         fields.pop("diverged", None)
         fields.pop("final_metric", None)
         return cls(**fields)
-
-
-@dataclass
-class AggregateResult:
-    """One table row: an algorithm's mean metric per problem."""
-
-    label: str
-    means: dict[str, float | None] = field(default_factory=dict)
-    divergent: dict[str, int] = field(default_factory=dict)
-    seeds_per_problem: dict[str, int] = field(default_factory=dict)
 
 
 def lr_scale_sequence(
@@ -538,39 +529,28 @@ def _check_cells(configs: Sequence[RunConfig], sources: Sequence[str]) -> None:
             origin[label, problem, seed] = source
 
 
-def _fold(
-    configs: Sequence[RunConfig], results: Sequence[Sequence[RunResult]]
-) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
-    """Table rows in lineup order, and each cell's runs.
+Cells = dict[tuple[str, str], list[RunResult]]
 
-    Each (label, problem) cell's runs are sorted by seed before they are
-    averaged, so neither a mean nor the row order depends on the order of
-    the configs or files.
+
+def _fold(configs: Sequence[RunConfig], results: Sequence[Sequence[RunResult]]) -> Cells:
+    """Each (label, problem) cell's runs, cells in lineup order.
+
+    Each cell's runs are sorted by seed, so neither a cell nor the cell
+    order depends on the order of the configs or files.
     """
-    cells: dict[tuple[str, str], list[RunResult]] = {}
+    cells: Cells = {}
     for config, runs in sorted(zip(configs, results), key=lambda pair: _cell_key(pair[0])):
         cells.setdefault((config.optimizer.label, config.problem), []).extend(runs)
-    rows: dict[str, AggregateResult] = {}
-    for (label, problem), runs in cells.items():
+    for runs in cells.values():
         runs.sort(key=lambda r: r.seed)
-        good = [r.final_metric for r in runs if not r.diverged]
-        agg = rows.setdefault(label, AggregateResult(label=label))
-        agg.means[problem] = float(np.mean(good)) if good else None
-        agg.divergent[problem] = sum(r.diverged for r in runs)
-        agg.seeds_per_problem[problem] = len(runs)
-    return list(rows.values()), cells
+    return cells
 
 
-def run_grid(
-    configs: Sequence[RunConfig],
-) -> tuple[list[AggregateResult], dict[tuple[str, str], list[RunResult]]]:
-    """Run every config and aggregate into canonical table rows.
+def run_grid(configs: Sequence[RunConfig]) -> Cells:
+    """Run every config and fold the runs into table cells (see `_fold`).
 
     The grid must obey the cell rule of `_check_cells`, checked before
-    anything trains (`run_configs` runs any configs).  Returns (aggregates,
-    raw) where raw maps (label, problem) to the cell's runs in seed order.
-    Means cover only non-divergent seeds; the per-cell exclusion count
-    lands in `divergent`.
+    anything trains (`run_configs` runs any configs).
     """
     if not configs:
         raise ValueError("no configs to run")
@@ -738,15 +718,15 @@ def _contradiction(r: RunResult, diverged, final, epochs: int) -> str | None:
     return None
 
 
-def aggregate_result_files(paths: Sequence[str | Path]) -> list[AggregateResult]:
-    """Aggregate saved per-config results files into table rows.
+def aggregate_result_files(paths: Sequence[str | Path]) -> Cells:
+    """Fold saved per-config results files into the cells `run_grid` gives.
 
     The files obey the cell rule of `run_grid` (see `_check_cells`), so a
-    config run over two seed batches aggregates into a single row; an
-    error names both files.
+    config run over two seed batches folds into a single cell; an error
+    names both files.
     """
     if not paths:
         raise ValueError("no results files given")
     configs, results = zip(*(load_results(path) for path in paths))
     _check_cells(configs, [str(path) for path in paths])
-    return _fold(configs, results)[0]
+    return _fold(configs, results)

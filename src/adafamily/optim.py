@@ -72,7 +72,8 @@ def normalization_factor(mu: float) -> float:
 class OptimizerConfig:
     """Scalar hyperparameters of one optimizer instance.
 
-    ``mu`` is only meaningful for Algorithm.ADAFAMILY.  The algorithm fixes
+    ``mu`` belongs to Algorithm.ADAFAMILY alone: every other algorithm
+    refuses a ``mu`` other than 0.0.  The algorithm fixes
     where weight decay goes: Adam adds it to the gradient (coupled, L2
     style); every other algorithm decays decoupled, AdamW style.  Invalid
     values are rejected at construction.
@@ -87,12 +88,19 @@ class OptimizerConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algorithm, Algorithm):
+            raise ValueError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
         for name in ("mu", "alpha", "beta1", "beta2", "epsilon", "weight_decay"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         # -0.0 passes the range test but would label a row apart from 0.0
         if not 0.0 <= self.mu <= 1.0 or math.copysign(1.0, self.mu) < 0.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
+        if self.algorithm is not Algorithm.ADAFAMILY and self.mu != 0.0:
+            raise ValueError(
+                f"mu belongs to AdaFamily alone; {self.algorithm.value} takes 0.0, "
+                f"got {self.mu}"
+            )
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         for name in ("beta1", "beta2"):

@@ -26,6 +26,7 @@ from adafamily.checks import (
 from adafamily.data import BatchPlan, batches
 from adafamily.harness import (
     MU_GRID,
+    RunResult,
     build_problem,
     default_lineup,
     run_grid,
@@ -198,25 +199,23 @@ def test_criterion_convergence_reference_problems(acceptance_report):
 def test_criterion_protocol_reproduction(acceptance_report):
     configs = sweep_mu_configs(MU_GRID, "blobs-mlp1")
     start = time.perf_counter()
-    aggregates_a, raw_a = run_grid(configs)
+    cells_a = run_grid(configs)
     elapsed = time.perf_counter() - start
-    aggregates_b, raw_b = run_grid(configs)
+    cells_b = run_grid(configs)
 
-    def _payload(raw):
+    def _payload(cells):
         return {
             key: [(r.seed, r.train_loss, r.eval_metric, r.final_metric, r.diverged) for r in rs]
-            for key, rs in raw.items()
+            for key, rs in cells.items()
         }
 
-    reproducible = _payload(raw_a) == _payload(raw_b)
-    table = emit_table(aggregates_a, format="md")
+    reproducible = _payload(cells_a) == _payload(cells_b)
+    table = emit_table(cells_a, format="md")
     rows = [line for line in table.splitlines() if line.startswith("| Ada")]
-    labels = [agg.label for agg in aggregates_a]
+    labels = [label for label, _ in cells_a]
     shape_ok = labels == LINEUP_LABELS and len(rows) == 9
     marks_ok = table.count("**") == 2 and "*" in table.replace("**", "")
-    seeds_ok = all(
-        agg.seeds_per_problem["blobs-mlp1"] == 10 for agg in aggregates_a
-    )
+    seeds_ok = all(len(runs) == 10 for runs in cells_a.values())
     within_budget = elapsed < 600.0
     passed = reproducible and shape_ok and marks_ok and seeds_ok and within_budget
     _finish(
@@ -235,16 +234,14 @@ def test_criterion_state_size_parity(acceptance_report):
 
 def test_criterion_table_emitter_fidelity(acceptance_report):
     column = [12.89, 13.27, 12.70, 14.11, 12.69, 12.71, 12.65, 13.79, 14.56]
-    from adafamily.harness import AggregateResult
-
-    rows = []
-    for label, mean in zip(LINEUP_LABELS, column):
-        agg = AggregateResult(label=label)
-        agg.means["resnet"] = mean
-        agg.divergent["resnet"] = 0
-        agg.seeds_per_problem["resnet"] = 10
-        rows.append(agg)
-    table = emit_table(rows, format="md")
+    cells = {
+        (label, "resnet"): [
+            RunResult(seed=s, train_loss=[0.0], eval_metric=[mean], elapsed_seconds=0.0)
+            for s in range(10)
+        ]
+        for label, mean in zip(LINEUP_LABELS, column)
+    }
+    table = emit_table(cells, format="md")
     best_ok = "| AdaFamily(0.5) | **12.65** |" in table
     second_ok = "| AdaFamily(0.0) | *12.69* |" in table
     exclusive_ok = table.count("**") == 2

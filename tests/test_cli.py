@@ -595,6 +595,17 @@ def test_table_refuses_a_negative_zero_mu(tmp_path, capsys):
     assert err.startswith(f"error: {path}: malformed results file (mu must lie in [0, 1]")
 
 
+def test_table_refuses_a_baseline_with_a_mu(tmp_path, capsys):
+    # no baseline reads mu, so an Adam file with mu 0.7 is no Adam row
+    path, argv = _edited_input(tmp_path, "table", ("config", "optimizer", "mu"), 0.7)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {path}: malformed results file (mu belongs to AdaFamily alone; "
+        "Adam takes 0.0, got 0.7)"
+    )
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-mu"])
 def test_a_batch_larger_than_the_training_split_fails_before_training(
     tmp_path, capsys, command
@@ -699,10 +710,10 @@ def test_check_unknown_filter_fails(capsys):
 
 _WRITE_DIVERGENT_TABLE = """
 import sys
-from adafamily.harness import AggregateResult, write_text_atomic
+from adafamily.harness import RunResult, write_text_atomic
 from adafamily.tables import emit_table
-row = AggregateResult("Adam", {"quadratic": 1.5}, {"quadratic": 1}, {"quadratic": 2})
-write_text_atomic(sys.argv[1], emit_table([row], "md"))
+runs = [RunResult(0, [1.0], [1.5], 0.0), RunResult(1, [], [], 0.0, divergence_epoch=0)]
+write_text_atomic(sys.argv[1], emit_table({("Adam", "quadratic"): runs}, "md"))
 """
 
 

@@ -16,7 +16,6 @@ from adafamily.harness import (
     DESK_SCHEDULE,
     DESK_SEEDS,
     MU_GRID,
-    AggregateResult,
     ProblemSetup,
     RunConfig,
     RunResult,
@@ -338,6 +337,13 @@ def test_from_dict_loads_a_stored_metric_and_drop_last_only_where_derived():
                 expected = rf"{stored} does not fit .* which evaluates '{config.metric}'"
             with pytest.raises(ValueError, match=expected):
                 RunConfig.from_dict(d)
+    # false means False itself: a falsy value of another type is refused
+    for value in (0, None, "", [], 0.0):
+        d = json.loads(json.dumps(_blobs_config().to_dict()))
+        d["batch_plan"]["drop_last"] = value
+        with pytest.raises(ValueError) as refused:
+            RunConfig.from_dict(d)
+        assert str(refused.value).startswith(f"drop_last {value!r} is not false")
 
 
 @pytest.mark.parametrize(
@@ -453,12 +459,12 @@ def test_non_finite_eval_diverges_the_run(tmp_path):
     config = _quad_config(
         epochs=1, optimizer=OptimizerConfig(algorithm=Algorithm.ADAM, alpha=1e200)
     )
-    aggregates, raw = run_grid([config])
-    (result,) = raw[("Adam", "quadratic")]
+    cells = run_grid([config])
+    (result,) = cells[("Adam", "quadratic")]
     assert result.diverged and result.divergence_epoch == 0
     assert result.train_loss == [] and result.eval_metric == []
     assert result.final_metric is None
-    assert "† Adam on quadratic: 1 of 1 runs diverged" in emit_table(aggregates)
+    assert "† Adam on quadratic: 1 of 1 runs diverged" in emit_table(cells)
     path = tmp_path / "r.json"
     save_results(path, config, [result])
     json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"wrote {c}"))
@@ -489,14 +495,15 @@ def test_divergent_runs_excluded_from_means():
             epochs=2,
             optimizer=OptimizerConfig(algorithm=Algorithm.ADABELIEF, alpha=1.0),
         )
-        aggregates, raw = run_grid([ok, bad])
-        by_label = {agg.label: agg for agg in aggregates}
-        assert by_label["Adam"].divergent[name] == 0
-        assert by_label["Adam"].means[name] is not None
-        assert by_label["AdaBelief"].divergent[name] == 1
-        assert by_label["AdaBelief"].seeds_per_problem[name] == 1
-        assert by_label["AdaBelief"].means[name] is None
-        assert raw[("AdaBelief", name)][0].diverged
+        cells = run_grid([ok, bad])
+        rows = csv.DictReader(io.StringIO(emit_table(cells, "csv")))
+        by_label = {row["algorithm"]: row for row in rows}
+        assert by_label["Adam"][f"{name}_diverged"] == "0"
+        assert by_label["Adam"][name] != ""
+        assert by_label["AdaBelief"][f"{name}_diverged"] == "1"
+        assert len(cells[("AdaBelief", name)]) == 1
+        assert by_label["AdaBelief"][name] == ""
+        assert cells[("AdaBelief", name)][0].diverged
     finally:
         del _PROBLEM_BUILDERS[name]
         build_problem.cache_clear()
@@ -556,39 +563,38 @@ def test_grid_and_files_order_rows_by_lineup_whatever_the_config_order(tmp_path)
     shuffled = [lineup[i] for i in (8, 2, 5, 0, 7, 3, 1, 6, 4)]
     configs = [_quad_config(epochs=1, optimizer=opt) for opt in shuffled]
     expected = [opt.label for opt in lineup]
-    aggregates, _ = run_grid(configs)
-    assert [agg.label for agg in aggregates] == expected
+    assert [label for label, _ in run_grid(configs)] == expected
     paths = []
     for i, config in enumerate(configs):
         paths.append(tmp_path / f"{i}.json")
         save_results(paths[-1], config, run_configs([config])[0])
-    assert [agg.label for agg in aggregate_result_files(paths)] == expected
+    assert [label for label, _ in aggregate_result_files(paths)] == expected
 
 
 # ---------------------------------------------------------------------------
-# run_grid aggregation
+# run_grid cells
 
 
-def _table_ranks(aggregates, problem):
-    rows = csv.DictReader(io.StringIO(emit_table(aggregates, "csv")))
+def _table_ranks(cells, problem):
+    rows = csv.DictReader(io.StringIO(emit_table(cells, "csv")))
     return [int(row[f"{problem}_rank"]) for row in rows]
 
 
 def test_run_grid_nine_rows_ranks_are_permutation():
     configs = sweep_mu_configs(MU_GRID, "quadratic", seeds=(0,), epochs=3)
-    aggregates, raw = run_grid(configs)
-    assert len(aggregates) == 9
-    assert sorted(_table_ranks(aggregates, "quadratic")) == list(range(1, 10))
-    assert len(raw) == 9
+    cells = run_grid(configs)
+    assert len(cells) == 9
+    assert sorted(_table_ranks(cells, "quadratic")) == list(range(1, 10))
 
 
 def test_run_grid_mean_matches_independent_average():
     config = _quad_config(epochs=4, seeds=(0, 1, 2))
-    aggregates, raw = run_grid([config])
-    results = raw[("Adam", "quadratic")]
+    cells = run_grid([config])
+    results = cells[("Adam", "quadratic")]
     expected = sum(r.final_metric for r in results) / len(results)
-    assert aggregates[0].means["quadratic"] == pytest.approx(expected, rel=1e-12)
-    assert aggregates[0].seeds_per_problem["quadratic"] == 3
+    (row,) = csv.DictReader(io.StringIO(emit_table(cells, "csv")))
+    assert row["quadratic"] == f"{expected:.2f}"
+    assert len(results) == 3
 
 
 def test_run_grid_rejects_duplicate_algorithms():
@@ -606,19 +612,19 @@ def test_run_grid_identical_behavior_ties_break_by_row_order():
     adamw = _quad_config(
         epochs=3, optimizer=OptimizerConfig(algorithm=Algorithm.ADAMW)
     )
-    aggregates, _ = run_grid([adam, adamw])
-    assert aggregates[0].label == "Adam" and aggregates[1].label == "AdamW"
-    assert aggregates[0].means["quadratic"] == aggregates[1].means["quadratic"]
-    assert _table_ranks(aggregates, "quadratic") == [1, 2]
+    cells = run_grid([adam, adamw])
+    assert list(cells) == [("Adam", "quadratic"), ("AdamW", "quadratic")]
+    adam_runs, adamw_runs = cells.values()
+    assert [r.final_metric for r in adam_runs] == [r.final_metric for r in adamw_runs]
+    assert _table_ranks(cells, "quadratic") == [1, 2]
 
 
 def test_run_grid_merges_configs_differing_only_in_seeds_in_seed_order():
-    aggregates, raw = run_grid(
+    cells = run_grid(
         [_quad_config(epochs=2, seeds=(3, 1)), _quad_config(epochs=2, seeds=(2, 0))]
     )
-    assert [a.label for a in aggregates] == ["Adam"]
-    assert aggregates[0].seeds_per_problem == {"quadratic": 4}
-    assert [r.seed for r in raw[("Adam", "quadratic")]] == [0, 1, 2, 3]
+    assert list(cells) == [("Adam", "quadratic")]
+    assert [r.seed for r in cells[("Adam", "quadratic")]] == [0, 1, 2, 3]
 
 
 def test_run_grid_rejects_empty():
@@ -816,8 +822,8 @@ def test_aggregate_result_files_merges_seed_batches(tmp_path):
     save_results(path_a, config_a, run_configs([config_a])[0])
     save_results(path_b, config_b, run_configs([config_b])[0])
     merged = aggregate_result_files([path_a, path_b])
-    assert len(merged) == 1
-    assert merged[0].seeds_per_problem["quadratic"] == 2
+    assert list(merged) == [("Adam", "quadratic")]
+    assert [r.seed for r in merged[("Adam", "quadratic")]] == [0, 1]
 
 
 def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
@@ -831,10 +837,16 @@ def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
         load_results(path)
 
 
+def _cell_payloads(cells):
+    """Each cell's runs as saved but for their elapsed_seconds, cells in order."""
+    return [(key, [_payload(r) for r in runs]) for key, runs in cells.items()]
+
+
 def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
-    # the split Adam cell's mean rounds differently in the grid's config
-    # order (seeds 3, 0, 1, 5, 2, 4) than in the files' (0, 1, 3, 2, 4, 5);
-    # folding in seed order makes every order agree with the grid
+    # the split Adam cell comes in the grid's config order (seeds 3, 0, 1,
+    # 5, 2, 4) and in the files' (0, 1, 3, 2, 4, 5); folding in seed order
+    # makes every order give the grid's cells, whose means the table then
+    # sums in that one order
     plan = BatchPlan(batch_size=32, shuffle_seed=12345)
     split_cell = dict(problem="blobs-mlp1", epochs=2)
     family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.5)
@@ -844,20 +856,18 @@ def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
         _blobs_config(seeds=(5, 2, 4), **split_cell),
         _blobs_config(optimizer=family, seeds=(1, 0), batch_plan=plan),
     ]
-    aggregates, raw = run_grid(configs)
+    cells = run_grid(configs)
     paths = []
     for i, (config, results) in enumerate(zip(configs, run_configs(configs))):
         paths.append(tmp_path / f"{i}.json")
         save_results(paths[-1], config, results)
-    assert aggregate_result_files(paths) == aggregates
-    assert aggregate_result_files(paths[::-1]) == aggregates
+    assert _cell_payloads(aggregate_result_files(paths)) == _cell_payloads(cells)
+    assert _cell_payloads(aggregate_result_files(paths[::-1])) == _cell_payloads(cells)
     split = [paths[0], paths[2]]
     assert aggregate_result_files(split) == aggregate_result_files(split[::-1])
-    runs = raw[("Adam", "blobs-mlp1")]
-    assert [r.seed for r in runs] == [0, 1, 2, 3, 4, 5]
-    assert aggregates[0].means["blobs-mlp1"] == float(np.mean([r.final_metric for r in runs]))
-    in_config_order = [runs[s].final_metric for s in (3, 0, 1, 5, 2, 4)]
-    assert aggregates[0].means["blobs-mlp1"] != float(np.mean(in_config_order))
+    for runs in cells.values():
+        assert [r.seed for r in runs] == sorted(r.seed for r in runs)
+    assert [r.seed for r in cells[("Adam", "blobs-mlp1")]] == [0, 1, 2, 3, 4, 5]
 
 
 def test_aggregate_result_files_rejects_repeated_seed(tmp_path):
@@ -916,13 +926,6 @@ def test_run_result_dict_roundtrip():
         divergence_epoch=None,
     )
     assert RunResult.from_dict(result.to_dict()) == result
-
-
-def test_aggregate_result_is_plain_data():
-    agg = AggregateResult(label="Adam")
-    agg.means["p"] = 1.0
-    replaced = dataclasses.replace(agg)
-    assert replaced.label == "Adam"
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,8 @@ def test_v_bound_with_zero_gradients():
 def test_replay_is_bitwise_identical():
     theta0, grads = _random_run(4001)
     for algorithm in Algorithm:
-        cfg = OptimizerConfig(algorithm=algorithm, mu=0.25)
+        mu = 0.25 if algorithm is Algorithm.ADAFAMILY else 0.0
+        cfg = OptimizerConfig(algorithm=algorithm, mu=mu)
         assert trajectory(cfg, grads, theta0) == trajectory(cfg, grads, theta0)
 
 
@@ -485,6 +486,23 @@ def test_config_validation_rejects(kw):
         OptimizerConfig(algorithm=Algorithm.ADAFAMILY, **kw)
 
 
+def test_config_refuses_an_algorithm_that_is_no_algorithm():
+    # a string would step with Adam's constants and then fail to label its row
+    with pytest.raises(ValueError, match="algorithm must be an Algorithm, got 'AdaFamily'"):
+        OptimizerConfig(algorithm="AdaFamily", mu=0.5)
+    assert OptimizerConfig.from_dict({"algorithm": "AdaFamily", "mu": 0.5}) == _af(0.5)
+
+
+@pytest.mark.parametrize("algorithm", [a for a in Algorithm if a is not Algorithm.ADAFAMILY])
+def test_a_baseline_refuses_a_mu(algorithm):
+    message = f"mu belongs to AdaFamily alone; {algorithm.value} takes 0.0, got 0.7"
+    with pytest.raises(ValueError, match=message):
+        OptimizerConfig(algorithm=algorithm, mu=0.7)
+    with pytest.raises(ValueError, match=message):
+        OptimizerConfig.from_dict({"algorithm": algorithm.value, "mu": 0.7})
+    assert OptimizerConfig(algorithm=algorithm, mu=0.0) == OptimizerConfig(algorithm=algorithm)
+
+
 def test_decay_mode_follows_algorithm():
     for algorithm in Algorithm:
         placement = "coupled" if algorithm is Algorithm.ADAM else "decoupled"
@@ -500,7 +518,8 @@ def test_from_dict_loads_derived_mode_or_own_placement(algorithm, weight_decay, 
     # the algorithm's placement, and "none" when there is no decay
     placement = "coupled" if algorithm is Algorithm.ADAM else "decoupled"
     loads = mode == placement or (mode == "none" and weight_decay == 0.0)
-    built = OptimizerConfig(algorithm=algorithm, mu=0.25, weight_decay=weight_decay)
+    mu = 0.25 if algorithm is Algorithm.ADAFAMILY else 0.0
+    built = OptimizerConfig(algorithm=algorithm, mu=mu, weight_decay=weight_decay)
     stored = dict(built.to_dict(), decay_mode=mode)
     if not loads:
         with pytest.raises(ValueError, match=f"decay_mode '{mode}'.*decays '{built.decay_mode}'"):

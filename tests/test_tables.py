@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from adafamily.harness import AggregateResult
+from adafamily.harness import RunResult
 from adafamily.tables import FORMATS, emit_table, ordinal_ranks
 
 LINEUP = [
@@ -21,15 +21,25 @@ LINEUP = [
 ]
 
 
-def _rows(means_by_label, problem="bench", divergent=None, seeds=10):
-    rows = []
-    for label, mean in means_by_label.items():
-        agg = AggregateResult(label=label)
-        agg.means[problem] = mean
-        agg.divergent[problem] = (divergent or {}).get(label, 0)
-        agg.seeds_per_problem[problem] = seeds
-        rows.append(agg)
-    return rows
+def _runs(mean, runs=10, diverged=0):
+    """A cell of ``runs`` runs: the first ``diverged`` diverged in epoch 0,
+    the rest end at ``mean``.  A None mean is a cell whose every run
+    diverged, the only cell that has no mean."""
+    if mean is None:
+        diverged = runs
+    return [
+        RunResult(seed=s, train_loss=[], eval_metric=[], elapsed_seconds=0.0, divergence_epoch=0)
+        if s < diverged
+        else RunResult(seed=s, train_loss=[0.0], eval_metric=[mean], elapsed_seconds=0.0)
+        for s in range(runs)
+    ]
+
+
+def _cells(means_by_label, problem="bench", divergent=None, seeds=10):
+    return {
+        (label, problem): _runs(mean, seeds, (divergent or {}).get(label, 0))
+        for label, mean in means_by_label.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +72,8 @@ def test_ordinal_ranks_empty():
 
 
 def test_markdown_structure_and_cells():
-    rows = _rows({"Adam": 10.128, "AdamW": 9.874, "AdaBelief": 11.5})
-    lines = emit_table(rows, format="md").splitlines()
+    cells = _cells({"Adam": 10.128, "AdamW": 9.874, "AdaBelief": 11.5})
+    lines = emit_table(cells, format="md").splitlines()
     assert lines[0] == "| algorithm | bench |"
     assert set(lines[1]) <= {"|", "-", " ", ":"}
     assert lines[2] == "| Adam | *10.13* |"
@@ -72,8 +82,8 @@ def test_markdown_structure_and_cells():
 
 
 def test_markdown_marks_best_bold_second_italic():
-    rows = _rows({"A": 3.0, "B": 1.0, "C": 2.0})
-    text = emit_table(rows, format="md")
+    cells = _cells({"A": 3.0, "B": 1.0, "C": 2.0})
+    text = emit_table(cells, format="md")
     assert "**1.00**" in text
     assert "*2.00*" in text
     assert "**2.00**" not in text
@@ -83,28 +93,28 @@ def test_markdown_marks_best_bold_second_italic():
 def test_marking_uses_full_precision_not_rendered_cells():
     # the two cells render identically at 2 decimals, but only the smaller
     # underlying mean gets the best marker
-    rows = _rows({"A": 1.004, "B": 1.001})
-    text = emit_table(rows, format="md")
+    cells = _cells({"A": 1.004, "B": 1.001})
+    text = emit_table(cells, format="md")
     assert "| A | *1.00* |" in text
     assert "| B | **1.00** |" in text
 
 
 def test_single_row_is_marked_best():
-    rows = _rows({"Adam": 4.2})
-    text = emit_table(rows, format="md")
+    cells = _cells({"Adam": 4.2})
+    text = emit_table(cells, format="md")
     assert "**4.20**" in text
 
 
 def test_none_mean_renders_na():
-    rows = _rows({"A": None, "B": 2.0})
-    text = emit_table(rows, format="md")
+    cells = _cells({"A": None, "B": 2.0})
+    text = emit_table(cells, format="md")
     assert "n/a" in text
     assert "**2.00**" in text
 
 
 def test_divergence_dagger_and_footnote():
-    rows = _rows({"A": 5.0, "B": 6.0, "C": 7.0}, divergent={"C": 3}, seeds=10)
-    text = emit_table(rows, format="md")
+    cells = _cells({"A": 5.0, "B": 6.0, "C": 7.0}, divergent={"C": 3}, seeds=10)
+    text = emit_table(cells, format="md")
     assert "7.00†" in text
     assert "† C on bench: 3 of 10 runs diverged and were excluded from the mean." in text
     # the clean rows carry no dagger and no footnote
@@ -113,44 +123,40 @@ def test_divergence_dagger_and_footnote():
 
 
 def test_divergence_dagger_sits_outside_marking():
-    rows = _rows({"A": 5.0, "B": 6.0}, divergent={"B": 1}, seeds=4)
-    text = emit_table(rows, format="md")
+    cells = _cells({"A": 5.0, "B": 6.0}, divergent={"B": 1}, seeds=4)
+    text = emit_table(cells, format="md")
     assert "| B | *6.00*† |" in text
 
 
 def test_no_divergence_no_footnote():
-    rows = _rows({"A": 5.0, "B": 6.0})
-    assert "†" not in emit_table(rows, format="md")
+    cells = _cells({"A": 5.0, "B": 6.0})
+    assert "†" not in emit_table(cells, format="md")
 
 
 def test_multi_problem_columns():
-    a = AggregateResult(label="Adam")
-    a.means = {"p1": 1.0, "p2": 9.0}
-    a.divergent = {"p1": 0, "p2": 0}
-    a.seeds_per_problem = {"p1": 3, "p2": 3}
-    b = AggregateResult(label="AdamW")
-    b.means = {"p1": 2.0, "p2": 8.0}
-    b.divergent = {"p1": 0, "p2": 0}
-    b.seeds_per_problem = {"p1": 3, "p2": 3}
-    lines = emit_table([a, b], format="md").splitlines()
+    cells = {
+        ("Adam", "p1"): _runs(1.0, 3),
+        ("Adam", "p2"): _runs(9.0, 3),
+        ("AdamW", "p1"): _runs(2.0, 3),
+        ("AdamW", "p2"): _runs(8.0, 3),
+    }
+    lines = emit_table(cells, format="md").splitlines()
     assert lines[0] == "| algorithm | p1 | p2 |"
     assert lines[2] == "| Adam | **1.00** | *9.00* |"
     assert lines[3] == "| AdamW | *2.00* | **8.00** |"
 
 
 def test_cells_without_a_finite_mean_across_two_problems():
-    # A's p2 mean overflowed and B's p1 mean is NaN; C has no p2 cell at all
-    a = AggregateResult(label="A", means={"p1": 1.0, "p2": float("inf")})
-    a.divergent = {"p1": 1, "p2": 2}
-    a.seeds_per_problem = {"p1": 4, "p2": 4}
-    b = AggregateResult(label="B", means={"p1": float("nan"), "p2": 2.0})
-    b.divergent = {"p1": 3, "p2": 0}
-    b.seeds_per_problem = {"p1": 4, "p2": 4}
-    c = AggregateResult(label="C", means={"p1": 0.5})
-    c.divergent = {"p1": 0}
-    c.seeds_per_problem = {"p1": 4}
+    # A's p2 mean is inf and B's p1 mean is NaN; C has no p2 cell at all
+    cells = {
+        ("A", "p1"): _runs(1.0, 4, diverged=1),
+        ("A", "p2"): _runs(float("inf"), 4, diverged=2),
+        ("B", "p1"): _runs(float("nan"), 4, diverged=3),
+        ("B", "p2"): _runs(2.0, 4),
+        ("C", "p1"): _runs(0.5, 4),
+    }
     # A's p2 cell ranks second but takes no mark; notes run row by row
-    assert emit_table([a, b, c], format="md") == (
+    assert emit_table(cells, format="md") == (
         "| algorithm | p1 | p2 |\n"
         "| --- | --- | --- |\n"
         "| A | *1.00*† | n/a† |\n"
@@ -161,7 +167,7 @@ def test_cells_without_a_finite_mean_across_two_problems():
         "† A on p2: 2 of 4 runs diverged and were excluded from the mean.\n"
         "† B on p1: 3 of 4 runs diverged and were excluded from the mean.\n"
     )
-    assert emit_table([a, b, c], format="csv") == (
+    assert emit_table(cells, format="csv") == (
         "algorithm,p1,p1_rank,p1_diverged,p2,p2_rank,p2_diverged\n"
         "A,1.00,2,1,,2,2\n"
         "B,,3,3,2.00,1,0\n"
@@ -174,8 +180,8 @@ def test_cells_without_a_finite_mean_across_two_problems():
 
 
 def test_csv_emission_and_round_trip():
-    rows = _rows({"Adam": 10.128, "AdamW": 9.874}, divergent={"AdamW": 1})
-    text = emit_table(rows, format="csv")
+    cells = _cells({"Adam": 10.128, "AdamW": 9.874}, divergent={"AdamW": 1})
+    text = emit_table(cells, format="csv")
     lines = text.splitlines()
     assert lines[0] == "algorithm,bench,bench_rank,bench_diverged"
     parsed = list(csv.DictReader(io.StringIO(text)))
@@ -186,9 +192,25 @@ def test_csv_emission_and_round_trip():
     assert [p["bench_diverged"] for p in parsed] == ["0", "1"]
 
 
+def test_csv_ranks_each_mean_as_summed_in_the_cell_order():
+    # one set of final metrics in two orders: A's mean is
+    # 0.20000000000000004 and B's 0.19999999999999998, so B ranks first; a
+    # sorted or reordered sum would tie them and rank A first by position
+    def ending(*finals):
+        return [
+            RunResult(seed=s, train_loss=[0.0], eval_metric=[f], elapsed_seconds=0.0)
+            for s, f in enumerate(finals)
+        ]
+
+    cells = {("A", "bench"): ending(0.1, 0.2, 0.3), ("B", "bench"): ending(0.3, 0.2, 0.1)}
+    parsed = list(csv.DictReader(io.StringIO(emit_table(cells, format="csv"))))
+    assert [p["bench"] for p in parsed] == ["0.20", "0.20"]
+    assert [p["bench_rank"] for p in parsed] == ["2", "1"]
+
+
 def test_csv_none_mean_round_trips():
-    rows = _rows({"A": None, "B": 2.0})
-    parsed = list(csv.DictReader(io.StringIO(emit_table(rows, format="csv"))))
+    cells = _cells({"A": None, "B": 2.0})
+    parsed = list(csv.DictReader(io.StringIO(emit_table(cells, format="csv"))))
     assert [p["bench"] for p in parsed] == ["", "2.00"]
     assert [p["bench_rank"] for p in parsed] == ["2", "1"]
 
@@ -199,13 +221,13 @@ def test_csv_none_mean_round_trips():
 
 def test_emit_table_rejects_empty():
     with pytest.raises(ValueError):
-        emit_table([], format="md")
+        emit_table({}, format="md")
 
 
 def test_emit_table_rejects_unknown_format():
-    rows = _rows({"Adam": 1.0})
+    cells = _cells({"Adam": 1.0})
     with pytest.raises(ValueError, match="html"):
-        emit_table(rows, format="html")
+        emit_table(cells, format="html")
 
 
 def test_formats_constant():
@@ -220,8 +242,8 @@ def test_reference_column_best_and_second_marking():
     # canonical nine-row lineup with a fixed top-1 error column; the best
     # cell is 12.65 and the runner-up 12.69
     column = [12.89, 13.27, 12.70, 14.11, 12.69, 12.71, 12.65, 13.79, 14.56]
-    rows = _rows(dict(zip(LINEUP, column)), problem="resnet")
-    text = emit_table(rows, format="md")
+    cells = _cells(dict(zip(LINEUP, column)), problem="resnet")
+    text = emit_table(cells, format="md")
     assert "| AdaFamily(0.5) | **12.65** |" in text
     assert "| AdaFamily(0.0) | *12.69* |" in text
     # every other cell is unmarked
