@@ -15,7 +15,7 @@ def main():
     print("=== generate: gaussian blobs ===")
     data = gen_gaussian_blobs(seed=7, n_per_class=50, dim=4, num_classes=3, spread=0.3)
     again = gen_gaussian_blobs(seed=7, n_per_class=50, dim=4, num_classes=3, spread=0.3)
-    print(f"{data.n} rows, {data.num_features} features, {data.num_classes} classes")
+    print(f"{data.n} rows, {data.features.shape[1]} features, {data.num_classes} classes")
     print(f"bitwise replay: {np.array_equal(data.features, again.features)}")
     print(f"class counts:   {np.bincount(data.labels).tolist()}")
     print()

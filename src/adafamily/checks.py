@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
+from .harness import lr_scale_sequence
 from .optim import (
     Algorithm,
     OptimizerConfig,
@@ -349,8 +350,6 @@ def check_gradients() -> tuple[bool, str]:
 
 
 def check_schedule() -> tuple[bool, str]:
-    from .harness import lr_scale_sequence
-
     seq = lr_scale_sequence(((2, 0.5), (5, 0.2)), 8)
     return seq == [1.0, 1.0, 0.5, 0.5, 0.5, 0.1, 0.1, 0.1], f"realized scales {seq}"
 

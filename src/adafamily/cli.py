@@ -21,6 +21,7 @@ from .checks import run_checks
 from .harness import (
     DESK_BATCH_SIZE,
     DESK_EPOCHS,
+    DESK_SEEDS,
     aggregate_result_files,
     load_run_config_file,
     problem_names,
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=problem_names(), help="registered problem"
     )
     p_sweep.add_argument(
-        "--seeds", type=int, default=10, help="number of seeds (0..N-1, default 10)"
+        "--seeds", type=int, default=len(DESK_SEEDS), help="seeds 0..N-1 (default %(default)s)"
     )
     p_sweep.add_argument("--epochs", type=int, default=DESK_EPOCHS)
     p_sweep.add_argument("--batch-size", type=int, default=DESK_BATCH_SIZE)

@@ -71,10 +71,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def num_features(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class BatchPlan:

@@ -162,10 +162,6 @@ class OptimizerState:
     v: np.ndarray
     t: int = 0
 
-    @property
-    def dim(self) -> int:
-        return self.m.shape[0]
-
 
 def init_state(dim: int) -> OptimizerState:
     """Zeroed state for a parameter buffer of length ``dim``."""
@@ -204,9 +200,9 @@ def step(
     decoupled decay subtracts lr_scale * alpha * weight_decay * params
     (pre-update) from the result.
     """
-    if params.shape != (state.dim,) or grad.shape != (state.dim,):
+    if not params.shape == grad.shape == state.m.shape:
         raise BufferMismatchError(
-            f"state dim {state.dim}, params shape {params.shape}, grad shape {grad.shape}"
+            f"state shape {state.m.shape}, params shape {params.shape}, grad shape {grad.shape}"
         )
     # a finite sum implies finite entries; the exact scan runs only when the
     # sum is not finite, which finite entries can also give by overflowing

@@ -200,10 +200,6 @@ def _softmax_ce(
     return losses, probs
 
 
-def _transposed(matrices: np.ndarray) -> np.ndarray:
-    return matrices.transpose(0, 2, 1)
-
-
 class _Classifier(Problem):
     """Softmax cross-entropy over a linear head: logits = inputs @ W' + b.
 
@@ -263,7 +259,7 @@ class _Classifier(Problem):
     def _forward(self, stack: np.ndarray, features: np.ndarray):
         *body, w, b = self._unpack(stack)
         inputs = self._head_inputs(body, features)
-        logits = inputs @ _transposed(w)
+        logits = inputs @ w.transpose(0, 2, 1)
         logits += b[:, None, :]
         return body, w, inputs, logits
 
@@ -271,7 +267,7 @@ class _Classifier(Problem):
         body, w, inputs, logits = self._forward(stack, batch.features)
         losses, dlogits = _softmax_ce(logits, batch.labels)
         # the head's gradient first: the body's backward pass may overwrite inputs
-        head = [_transposed(dlogits) @ inputs, _over_batch(dlogits)]
+        head = [dlogits.transpose(0, 2, 1) @ inputs, _over_batch(dlogits)]
         blocks = self._body_grad(body, w, batch.features, inputs, dlogits) + head
         r = len(losses)
         return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
@@ -326,7 +322,7 @@ class MLP1(_Classifier):
     def _head_inputs(self, body, features):
         # tanh(features @ W1' + b1) per row, (R, n, h), in one buffer
         w1, b1 = body
-        a1 = features @ _transposed(w1)
+        a1 = features @ w1.transpose(0, 2, 1)
         a1 += b1[:, None, :]
         return np.tanh(a1, out=a1)
 
@@ -336,7 +332,7 @@ class MLP1(_Classifier):
         np.multiply(a1, a1, out=a1)
         np.subtract(1.0, a1, out=a1)
         dz1 *= a1
-        return [_transposed(dz1) @ features, _over_batch(dz1)]
+        return [dz1.transpose(0, 2, 1) @ features, _over_batch(dz1)]
 
 
 _FD_STEP = 1e-6  # the h of `finite_diff_grad`
@@ -350,10 +346,12 @@ def finite_diff_grad(
     All 2*dim probes are rows of one stacked `loss_grad` call, whose losses
     alone are read; row r of a stack is the 1-D call on it, so each entry
     is the one a coordinate-at-a-time loop gives.  The probes take
-    2*dim*dim floats.
+    2*dim*dim floats.  ``params`` must be one (dim,) vector.
     """
     params = np.asarray(params, dtype=np.float64)
-    dim = params.shape[0]
+    dim = problem.dim
+    if params.shape != (dim,):
+        raise ValueError(f"{problem.kind} expects {dim} parameters, got shape {params.shape}")
     # each probe copies the row and sets one entry: params + h*I would turn
     # a -0.0 elsewhere in the row into +0.0
     probes = np.tile(params, (2 * dim, 1))

@@ -1,5 +1,5 @@
 """Smoke test: every demo script, and the README's library quickstart,
-runs to completion."""
+runs to completion, and the quadratic race prints its pinned table."""
 
 import os
 import re
@@ -11,6 +11,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the nine rows of the quadratic race's table: first step below a 1e-6 gap
+# and the gap after 20000 steps, per lineup row
+RACE_ROWS = [
+    "Adam                           7624      5.630e-11",
+    "AdamW                          7624      5.630e-11",
+    "AdaBelief                      3753     -1.110e-16",
+    "AdaMomentum                    7553      1.110e-16",
+    "AdaFamily(0.0)                 7820      1.110e-16",
+    "AdaFamily(0.25)                6910      2.220e-16",
+    "AdaFamily(0.5)                 3753      0.000e+00",
+    "AdaFamily(0.75)                6472     -2.220e-16",
+    "AdaFamily(1.0)                 7553      1.110e-16",
+]
 
 
 def test_demos_exist():
@@ -29,6 +42,10 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    if demo.name == "05_quadratic_race.py":
+        lines = proc.stdout.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("algorithm"))
+        assert lines[header + 1 : header + 10] == RACE_ROWS
 
 
 def test_readme_quickstart_runs(tmp_path):

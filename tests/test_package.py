@@ -1,5 +1,5 @@
 """The package's public surface: `adafamily.__all__`, star-imports and the
-names one module takes from another."""
+names one module takes from another, which it must read."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,40 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _unused_imports(path):
+    # imported names the module never loads; `__all__` re-exports count as read
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {elt.value for elt in node.value.elts}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the project has no linter: this walk is its unused-import rule
+    folders = ("src", "tools", "demos", "tests")
+    paths = sorted(path for folder in folders for path in (ROOT / folder).rglob("*.py"))
+    unused = {
+        str(path.relative_to(ROOT)): names for path in paths if (names := _unused_imports(path))
+    }
+    assert unused == {}
 
 
 def _module_level_names(tree):

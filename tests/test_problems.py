@@ -345,6 +345,14 @@ def test_finite_diff_probes_keep_negative_zeros():
         assert probe[i] == theta[i] + (1e-6 if k < 3 else -1e-6)
 
 
+@pytest.mark.parametrize("shape", [(7,), (2, 10), (10, 10)])
+def test_finite_diff_grad_refuses_anything_but_one_parameter_vector(shape):
+    # loss_grad's message, naming the given shape rather than the probe stack
+    message = f"quadratic expects 10 parameters, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        finite_diff_grad(build_problem("quadratic").problem, np.zeros(shape))
+
+
 def test_quadratic_fd_is_tight():
     # central differences are exact for quadratics up to roundoff
     q = Quadratic(np.eye(3), np.array([1.0, -2.0, 0.5]))

@@ -29,7 +29,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from adafamily import rng
 from adafamily.data import BatchPlan, batches
 from adafamily.harness import (
-    DESK_SCHEDULE,
+    DESK_BATCH_SIZE,
+    DESK_SHUFFLE_SEED,
     RunConfig,
     aggregate_result_files,
     build_problem,
@@ -65,20 +66,21 @@ def write_smoke_results() -> list[Path]:
     smoke.mkdir(parents=True, exist_ok=True)
     for stale in smoke.glob("*.json"):
         stale.unlink()
-    paths = []
-    for problem in SMOKE_PROBLEMS:
-        for optimizer in default_lineup():
-            config = RunConfig(
-                problem=problem,
-                optimizer=optimizer,
-                epochs=SMOKE_EPOCHS,
-                batch_plan=BatchPlan(batch_size=32, shuffle_seed=12345),
-                schedule=((2, 0.5),),
-                seeds=SMOKE_SEEDS,
-            )
-            path = smoke / results_filename(config)
-            save_results(path, config, run_configs([config])[0])
-            paths.append(path)
+    configs = [
+        RunConfig(
+            problem=problem,
+            optimizer=optimizer,
+            epochs=SMOKE_EPOCHS,
+            batch_plan=BatchPlan(batch_size=DESK_BATCH_SIZE, shuffle_seed=DESK_SHUFFLE_SEED),
+            schedule=((2, 0.5),),
+            seeds=SMOKE_SEEDS,
+        )
+        for problem in SMOKE_PROBLEMS
+        for optimizer in default_lineup()
+    ]
+    paths = [smoke / results_filename(config) for config in configs]
+    for path, config, results in zip(paths, configs, run_configs(configs)):
+        save_results(path, config, results)
     return paths
 
 
@@ -88,26 +90,23 @@ def write_golden_table(paths: list[Path]) -> None:
 
 
 def reference_quadratic() -> dict:
-    setup = build_problem("quadratic")
-    problem = setup.problem
+    min_loss = build_problem("quadratic").problem.min_loss
     config = OptimizerConfig(algorithm=Algorithm.ADAM)
-    state = init_state(problem.dim)
-    params = problem.init_params(0)
-    first_below = None
     threshold = 1e-6
-    for t in range(1, 20001):
-        loss, grad = problem.loss_grad(params)
-        params = step(state, params, grad, config)
-        if first_below is None and problem.loss_grad(params)[0] - problem.min_loss < threshold:
-            first_below = t
+    # an analytic epoch is one full-gradient step: eval_metric[t] is the
+    # loss after t + 1 updates
+    ((run,),) = run_configs([RunConfig("quadratic", config, epochs=20000)])
+    gaps = [loss - min_loss for loss in run.eval_metric]
     return {
         "problem": "quadratic",
         "algorithm": config.label,
         "steps": 20000,
         "threshold_gap": threshold,
-        "first_step_below_threshold": first_below,
-        "final_gap": problem.loss_grad(params)[0] - problem.min_loss,
-        "min_loss": problem.min_loss,
+        "first_step_below_threshold": next(
+            (t + 1 for t, gap in enumerate(gaps) if gap < threshold), None
+        ),
+        "final_gap": gaps[-1],
+        "min_loss": min_loss,
     }
 
 
@@ -117,7 +116,7 @@ def reference_blobs_logreg() -> dict:
     config = OptimizerConfig(algorithm=Algorithm.ADAM)
     state = init_state(problem.dim)
     params = problem.init_params(0)
-    plan = BatchPlan(batch_size=32, shuffle_seed=rng.derive_key(12345, 0))
+    plan = BatchPlan(batch_size=DESK_BATCH_SIZE, shuffle_seed=rng.derive_key(DESK_SHUFFLE_SEED, 0))
     steps, epoch = 0, 0
     while steps < 500:
         for batch in batches(train, plan, epoch):
