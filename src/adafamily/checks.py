@@ -320,7 +320,8 @@ def check_determinism() -> tuple[bool, str]:
         config = OptimizerConfig(algorithm=algorithm, mu=mu, weight_decay=1e-4)
         a = trajectory(config, grads, theta0)
         b = trajectory(config, grads, theta0)
-        if a != b:
+        # bytes, not ==, which calls -0.0 and 0.0 equal
+        if np.asarray(a).tobytes() != np.asarray(b).tobytes():
             return False, f"replay mismatch for {algorithm.value}"
     return True, "identical replays are bitwise identical for all five algorithms"
 

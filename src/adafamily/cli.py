@@ -74,12 +74,12 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
     for i, mu in enumerate(mus):
         if mu in mus[:i]:
             raise ValueError(f"--mus repeats {mu}")
-    if args.seeds < 1:
+    if args.seeds is not None and args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     configs = sweep_mu_configs(
         mus,
         args.problem,
-        seeds=range(args.seeds),
+        seeds=None if args.seeds is None else range(args.seeds),
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
@@ -137,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--problem", required=True, choices=problem_names(), help="registered problem"
     )
     p_sweep.add_argument(
-        "--seeds", type=int, default=len(DESK_SEEDS), help="seeds 0..N-1 (default %(default)s)"
+        "--seeds",
+        type=int,
+        help=f"seeds 0..N-1 (default {len(DESK_SEEDS)}, or for a problem that takes "
+        "no batches, those of them whose start differs)",
     )
     p_sweep.add_argument("--epochs", type=int, default=DESK_EPOCHS)
     p_sweep.add_argument("--batch-size", type=int, default=DESK_BATCH_SIZE)

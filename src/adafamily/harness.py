@@ -35,7 +35,6 @@ from .optim import (
     Algorithm,
     NonFiniteGradientError,
     OptimizerConfig,
-    OptimizerState,
     init_state,
     step,
 )
@@ -326,36 +325,6 @@ def _check_runnable(config: RunConfig, setup: ProblemSetup) -> None:
 _STACK_PARAMS = 8192
 
 
-@dataclass
-class _Run:
-    """The training state of one (config, seed) run inside a group, and the
-    result its epochs fill in."""
-
-    config: RunConfig
-    state: OptimizerState
-    scales: list[float]
-    plan: BatchPlan | None
-    result: RunResult
-
-
-def _start_run(config: RunConfig, seed: int, dim: int) -> _Run:
-    # the run seed folds into the shuffle stream once, so two seeds of the
-    # same config see different batch orders but each is reproducible
-    plan = None
-    if config.batch_plan is not None:
-        plan = dataclasses.replace(
-            config.batch_plan,
-            shuffle_seed=rng.derive_key(config.batch_plan.shuffle_seed, seed),
-        )
-    return _Run(
-        config=config,
-        state=init_state(dim),
-        scales=lr_scale_sequence(config.schedule, config.epochs),
-        plan=plan,
-        result=RunResult(seed=seed, train_loss=[], eval_metric=[], elapsed_seconds=0.0),
-    )
-
-
 def _train_group(
     setup: ProblemSetup, members: Sequence[tuple[RunConfig, int]]
 ) -> list[RunResult]:
@@ -372,17 +341,28 @@ def _train_group(
     """
     start = time.perf_counter()
     problem = setup.problem
-    runs = [_start_run(config, seed, problem.dim) for config, seed in members]
-    stack = runs
+    configs = [config for config, _ in members]
+    results = [RunResult(seed, [], [], 0.0) for _, seed in members]
+    states = [init_state(problem.dim) for _ in members]
+    scales = [lr_scale_sequence(config.schedule, config.epochs) for config in configs]
+    # the run seed folds into the shuffle stream once, so two seeds of the
+    # same config see different batch orders but each is reproducible
+    plans = [
+        None if (plan := config.batch_plan) is None
+        else dataclasses.replace(plan, shuffle_seed=rng.derive_key(plan.shuffle_seed, seed))
+        for config, seed in members
+    ]
+    # live[r] is the member on stack row r
+    live = list(range(len(members)))
     params = np.stack([problem.init_params(seed) for _, seed in members])
-    for epoch in range(max(config.epochs for config, _ in members)):
+    for epoch in range(max(config.epochs for config in configs)):
         epoch_batches = (
-            batches(setup.train, [run.plan for run in stack], epoch)
+            batches(setup.train, [plans[i] for i in live], epoch)
             if problem.requires_batch
             else [None]
         )
         steppers = [
-            (run.result, run.state, run.config.optimizer, run.scales[epoch]) for run in stack
+            (results[i], states[i], configs[i].optimizer, scales[i][epoch]) for i in live
         ]
         loss_rows = []
         for batch in epoch_batches:
@@ -401,8 +381,8 @@ def _train_group(
         train_losses = np.mean(np.stack(loss_rows, axis=1), axis=1).tolist()
         values = _evaluate(setup, params).tolist()
         keep = []
-        for r, (run, value, train_loss) in enumerate(zip(stack, values, train_losses)):
-            result = run.result
+        for r, (i, value, train_loss) in enumerate(zip(live, values, train_losses)):
+            result = results[i]
             if result.diverged:
                 continue
             if not (math.isfinite(value) and math.isfinite(train_loss)):
@@ -410,16 +390,16 @@ def _train_group(
                 continue
             result.train_loss.append(train_loss)
             result.eval_metric.append(value)
-            if len(result.train_loss) < run.config.epochs:
+            if len(result.train_loss) < configs[i].epochs:
                 keep.append(r)
         if not keep:
             break
-        stack, params = [stack[r] for r in keep], params[keep]
+        live, params = [live[r] for r in keep], params[keep]
 
-    elapsed = (time.perf_counter() - start) / len(runs)
-    for run in runs:
-        run.result.elapsed_seconds = elapsed
-    return [run.result for run in runs]
+    elapsed = (time.perf_counter() - start) / len(members)
+    for result in results:
+        result.elapsed_seconds = elapsed
+    return results
 
 
 def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
@@ -468,12 +448,24 @@ def default_lineup(
 def sweep_mu_configs(
     mus: Sequence[float],
     problem: str,
-    seeds: Sequence[int] = DESK_SEEDS,
+    seeds: Sequence[int] | None = None,
     epochs: int = DESK_EPOCHS,
     batch_size: int = DESK_BATCH_SIZE,
 ) -> list[RunConfig]:
-    """Grid configs for the default protocol on one problem."""
+    """Grid configs for the default protocol on one problem.
+
+    Without ``seeds``, a problem that takes batches runs `DESK_SEEDS`.  An
+    analytic one depends on its seed only through `init_params`, so it runs
+    the `DESK_SEEDS` whose start differs from every earlier seed's.
+    """
     setup = build_problem(problem)
+    if seeds is None and setup.problem.requires_batch:
+        seeds = DESK_SEEDS
+    elif seeds is None:
+        starts: dict[bytes, int] = {}
+        for seed in DESK_SEEDS:
+            starts.setdefault(setup.problem.init_params(seed).tobytes(), seed)
+        seeds = starts.values()
     plan = (
         BatchPlan(batch_size=batch_size, shuffle_seed=DESK_SHUFFLE_SEED)
         if setup.problem.requires_batch

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from conftest import bitwise
 
 from adafamily.checks import (
     check_endpoint_adabelief_eps_in_v,
@@ -211,14 +212,7 @@ def test_criterion_protocol_reproduction(acceptance_report):
     cells_a = run_grid(configs)
     elapsed = time.perf_counter() - start
     cells_b = run_grid(configs)
-
-    def _payload(cells):
-        return {
-            key: [(r.seed, r.train_loss, r.eval_metric, r.final_metric, r.diverged) for r in rs]
-            for key, rs in cells.items()
-        }
-
-    reproducible = _payload(cells_a) == _payload(cells_b)
+    reproducible = bitwise(cells_a) == bitwise(cells_b)
     table = emit_table(cells_a, format="md")
     rows = [line for line in table.splitlines() if line.startswith("| Ada")]
     labels = [label for label, _ in cells_a]

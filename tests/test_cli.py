@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bitwise
 
 from adafamily import checks, cli
 from adafamily.checks import CHECKS
@@ -44,13 +45,6 @@ def _small_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def _strip_elapsed(path):
-    payload = json.loads(Path(path).read_text())
-    for result in payload["results"]:
-        result["elapsed_seconds"] = 0.0
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +189,8 @@ def test_run_twice_is_deterministic_excluding_elapsed(tmp_path):
             == 0
         )
     name = "quadratic--adafamily-0.5.json"
-    assert _strip_elapsed(tmp_path / "a" / name) == _strip_elapsed(
-        tmp_path / "b" / name
-    )
+    a, b = (load_results(tmp_path / sub / name) for sub in ("a", "b"))
+    assert bitwise(a) == bitwise(b)
 
 
 def test_run_fixture_config(tmp_path):
@@ -496,6 +489,16 @@ def test_sweep_mu_small_grid(tmp_path, capsys):
         assert [r.seed for r in loaded] == [0, 1]
 
 
+def test_sweep_mu_runs_an_analytic_problem_once_per_start_by_default(tmp_path, capsys):
+    argv = ["sweep-mu", "--mus", "0.5", "--problem", "quadratic", "--epochs", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert "wrote 5 results files" in capsys.readouterr().err
+    for path in tmp_path.glob("*.json"):
+        config, loaded = load_results(path)
+        assert config.seeds == (0,)
+        assert [r.seed for r in loaded] == [0]
+
+
 def test_sweep_mu_csv_format(tmp_path, capsys):
     assert (
         main(
@@ -701,6 +704,19 @@ def test_a_nan_fails_the_checks_that_compare_it(monkeypatch, capsys, injection):
         assert not dict(CHECKS)[name]()[0], name
     assert main(["check", "--filter", failing[0]]) == 1
     assert f"FAIL {failing[0]}" in capsys.readouterr().out
+
+
+def test_a_zero_whose_sign_flips_fails_determinism(monkeypatch, capsys):
+    replays = []
+
+    def sign_flipping_trajectory(config, grads, theta0, lr_scales=None):
+        # every second replay turns the first 0.0 into -0.0, which == accepts
+        replays.append(config)
+        return [[-0.0 if len(replays) % 2 == 0 else 0.0, 1.0]]
+
+    monkeypatch.setattr(checks, "trajectory", sign_flipping_trajectory)
+    assert main(["check", "--filter", "determinism"]) == 1
+    assert "FAIL determinism" in capsys.readouterr().out
 
 
 def test_check_unknown_filter_fails(capsys):

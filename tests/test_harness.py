@@ -10,6 +10,7 @@ import signal
 
 import numpy as np
 import pytest
+from conftest import bitwise
 
 from adafamily.data import BatchPlan, Dataset
 from adafamily.harness import (
@@ -19,7 +20,6 @@ from adafamily.harness import (
     ProblemSetup,
     RunConfig,
     RunResult,
-    _PROBLEM_BUILDERS,
     aggregate_result_files,
     build_problem,
     default_lineup,
@@ -33,7 +33,7 @@ from adafamily.harness import (
     sweep_mu_configs,
 )
 from adafamily.optim import Algorithm, OptimizerConfig
-from adafamily.problems import MLP1, Problem
+from adafamily.problems import MLP1, Problem, Rosenbrock2D
 from adafamily.tables import emit_table
 
 
@@ -286,9 +286,7 @@ def test_quadratic_run_decreases_loss():
 def test_single_run_is_deterministic_excluding_elapsed():
     a = _only_run(_blobs_config(epochs=3, seeds=(1,)))
     b = _only_run(_blobs_config(epochs=3, seeds=(1,)))
-    assert a.train_loss == b.train_loss
-    assert a.eval_metric == b.eval_metric
-    assert a.final_metric == b.final_metric
+    assert bitwise(a) == bitwise(b)
 
 
 def test_run_seed_changes_trajectory():
@@ -416,41 +414,35 @@ class _CliffProblem(Problem):
         return losses, np.where(past, np.nan, -1.0)[:, None]
 
 
-def _register_cliff(name, cliff, finite_loss=False):
-    register_problem(
-        name, lambda: ProblemSetup(problem=_CliffProblem(cliff, finite_loss))
-    )
+def _register_cliff(register, name, cliff, finite_loss=False):
+    register(name, lambda: ProblemSetup(problem=_CliffProblem(cliff, finite_loss)))
 
 
-def _assert_aborts_in_epoch(name, finite_loss, epoch, tmp_path):
+def _assert_aborts_in_epoch(register, name, finite_loss, epoch, tmp_path):
     # Adam walks +alpha per step up the slope; with alpha=1e-3 the step of
     # epoch 2 crosses 2.5e-3 (steps land near 1e-3, 2e-3, 3e-3, ...)
-    _register_cliff(name, cliff=2.5e-3, finite_loss=finite_loss)
-    try:
-        config = _quad_config(problem=name, epochs=10)
-        result = _only_run(config)
-        assert result.diverged
-        assert result.divergence_epoch == epoch
-        assert len(result.train_loss) == epoch  # aborted, no post-divergence epochs
-        assert len(result.eval_metric) == epoch
-        assert all(math.isfinite(v) for v in result.train_loss + result.eval_metric)
-        assert result.final_metric is None
-        path = tmp_path / "cliff.json"
-        save_results(path, config, [result])
-        assert load_results(path) == (config, [result])
-    finally:
-        del _PROBLEM_BUILDERS[name]
-        build_problem.cache_clear()
+    _register_cliff(register, name, cliff=2.5e-3, finite_loss=finite_loss)
+    config = _quad_config(problem=name, epochs=10)
+    result = _only_run(config)
+    assert result.diverged
+    assert result.divergence_epoch == epoch
+    assert len(result.train_loss) == epoch  # aborted, no post-divergence epochs
+    assert len(result.eval_metric) == epoch
+    assert all(math.isfinite(v) for v in result.train_loss + result.eval_metric)
+    assert result.final_metric is None
+    path = tmp_path / "cliff.json"
+    save_results(path, config, [result])
+    assert load_results(path) == (config, [result])
 
 
-def test_divergent_run_flags_epoch_and_aborts(tmp_path):
+def test_divergent_run_flags_epoch_and_aborts(temporary_problem, tmp_path):
     # the NaN loss past the cliff shows in epoch 2's evaluation
-    _assert_aborts_in_epoch("cliff-a", finite_loss=False, epoch=2, tmp_path=tmp_path)
+    _assert_aborts_in_epoch(temporary_problem, "cliff-a", False, epoch=2, tmp_path=tmp_path)
 
 
-def test_nan_gradient_with_finite_loss_diverges_the_same_way(tmp_path):
+def test_nan_gradient_with_finite_loss_diverges_the_same_way(temporary_problem, tmp_path):
     # only the optimizer's gradient scan can catch this one, at the next step
-    _assert_aborts_in_epoch("cliff-c", finite_loss=True, epoch=3, tmp_path=tmp_path)
+    _assert_aborts_in_epoch(temporary_problem, "cliff-c", True, epoch=3, tmp_path=tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -483,30 +475,26 @@ def test_rosenbrock_overflow_diverges_instead_of_raising():
     assert not fine[0].diverged
 
 
-def test_divergent_runs_excluded_from_means():
+def test_divergent_runs_excluded_from_means(temporary_problem):
     name = "cliff-b"
-    _register_cliff(name, cliff=2.5e-3)
-    try:
-        # alpha=1e-3 stays below the cliff for 2 epochs; alpha=1.0 jumps
-        # straight past it, so the AdaBelief row diverges on its only seed
-        ok = _quad_config(problem=name, epochs=2)
-        bad = _quad_config(
-            problem=name,
-            epochs=2,
-            optimizer=OptimizerConfig(algorithm=Algorithm.ADABELIEF, alpha=1.0),
-        )
-        cells = run_grid([ok, bad])
-        rows = csv.DictReader(io.StringIO(emit_table(cells, "csv")))
-        by_label = {row["algorithm"]: row for row in rows}
-        assert by_label["Adam"][f"{name}_diverged"] == "0"
-        assert by_label["Adam"][name] != ""
-        assert by_label["AdaBelief"][f"{name}_diverged"] == "1"
-        assert len(cells[("AdaBelief", name)]) == 1
-        assert by_label["AdaBelief"][name] == ""
-        assert cells[("AdaBelief", name)][0].diverged
-    finally:
-        del _PROBLEM_BUILDERS[name]
-        build_problem.cache_clear()
+    _register_cliff(temporary_problem, name, cliff=2.5e-3)
+    # alpha=1e-3 stays below the cliff for 2 epochs; alpha=1.0 jumps
+    # straight past it, so the AdaBelief row diverges on its only seed
+    ok = _quad_config(problem=name, epochs=2)
+    bad = _quad_config(
+        problem=name,
+        epochs=2,
+        optimizer=OptimizerConfig(algorithm=Algorithm.ADABELIEF, alpha=1.0),
+    )
+    cells = run_grid([ok, bad])
+    rows = csv.DictReader(io.StringIO(emit_table(cells, "csv")))
+    by_label = {row["algorithm"]: row for row in rows}
+    assert by_label["Adam"][f"{name}_diverged"] == "0"
+    assert by_label["Adam"][name] != ""
+    assert by_label["AdaBelief"][f"{name}_diverged"] == "1"
+    assert len(cells[("AdaBelief", name)]) == 1
+    assert by_label["AdaBelief"][name] == ""
+    assert cells[("AdaBelief", name)][0].diverged
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +544,33 @@ def test_sweep_mu_configs_on_analytic_problem():
     assert len(configs) == 5
     assert all(c.batch_plan is None for c in configs)
     assert all(c.metric == "final_loss" for c in configs)
+
+
+def test_sweep_mu_configs_default_seeds_follow_the_start():
+    # quadratic and rosenbrock start every seed at one point and take no
+    # batches, so a second seed would repeat the first run
+    for problem in ("quadratic", "rosenbrock"):
+        assert [c.seeds for c in sweep_mu_configs(MU_GRID, problem)] == [(0,)] * 9
+    given = sweep_mu_configs(MU_GRID, "quadratic", seeds=range(3))
+    assert all(c.seeds == (0, 1, 2) for c in given)
+
+
+class _SeededRosenbrock(Rosenbrock2D):
+    """Rosenbrock whose start moves with ``seed % period``."""
+
+    def __init__(self, period):
+        self.period = period
+
+    def init_params(self, seed):
+        return np.array(self.START) + seed % self.period
+
+
+@pytest.mark.parametrize("period,seeds", [(10, DESK_SEEDS), (4, (0, 1, 2, 3))])
+def test_sweep_mu_configs_default_seeds_keep_each_distinct_start(
+    temporary_problem, period, seeds
+):
+    temporary_problem("seeded-start", lambda: ProblemSetup(_SeededRosenbrock(period)))
+    assert all(c.seeds == seeds for c in sweep_mu_configs(MU_GRID, "seeded-start"))
 
 
 def test_grid_and_files_order_rows_by_lineup_whatever_the_config_order(tmp_path):
@@ -837,11 +852,6 @@ def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
         load_results(path)
 
 
-def _cell_payloads(cells):
-    """Each cell's runs as saved but for their elapsed_seconds, cells in order."""
-    return [(key, [_payload(r) for r in runs]) for key, runs in cells.items()]
-
-
 def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
     # the split Adam cell comes in the grid's config order (seeds 3, 0, 1,
     # 5, 2, 4) and in the files' (0, 1, 3, 2, 4, 5); folding in seed order
@@ -861,8 +871,8 @@ def test_run_grid_aggregates_equal_those_of_its_saved_files(tmp_path):
     for i, (config, results) in enumerate(zip(configs, run_configs(configs))):
         paths.append(tmp_path / f"{i}.json")
         save_results(paths[-1], config, results)
-    assert _cell_payloads(aggregate_result_files(paths)) == _cell_payloads(cells)
-    assert _cell_payloads(aggregate_result_files(paths[::-1])) == _cell_payloads(cells)
+    assert bitwise(aggregate_result_files(paths)) == bitwise(cells)
+    assert bitwise(aggregate_result_files(paths[::-1])) == bitwise(cells)
     split = [paths[0], paths[2]]
     assert aggregate_result_files(split) == aggregate_result_files(split[::-1])
     for runs in cells.values():
@@ -961,15 +971,9 @@ class _CliffMLP(MLP1):
         return losses, grads
 
 
-def _payload(result):
-    d = result.to_dict()
-    del d["elapsed_seconds"]
-    return json.dumps(d, sort_keys=True)
-
-
-def _blobs_cliff(name, nan_loss, nan_grad):
+def _blobs_cliff(register, name, nan_loss, nan_grad):
     base = build_problem("blobs-mlp1")
-    register_problem(
+    register(
         name,
         lambda: ProblemSetup(
             problem=_CliffMLP(cliff=1.5, nan_loss=nan_loss, nan_grad=nan_grad),
@@ -979,7 +983,7 @@ def _blobs_cliff(name, nan_loss, nan_grad):
     )
 
 
-def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind():
+def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind(temporary_problem):
     # (nan_loss, nan_grad) past the cliff; a NaN loss with a finite gradient
     # shows only in the epoch's mean training loss
     modes = {
@@ -989,51 +993,45 @@ def test_run_configs_payloads_equal_runs_alone_for_every_problem_kind():
     }
     names = tuple(modes)
     for name, (nan_loss, nan_grad) in modes.items():
-        _blobs_cliff(name, nan_loss=nan_loss, nan_grad=nan_grad)
-    try:
-        plan = BatchPlan(batch_size=32, shuffle_seed=99)
-        fast = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=0.05)
-        belief = OptimizerConfig(algorithm=Algorithm.ADABELIEF)
-        family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.25)
-        configs = [
-            _quad_config(epochs=3, seeds=(1, 0)),
-            _quad_config(epochs=2, optimizer=family, schedule=((1, 0.5),)),
-            _quad_config(problem="rosenbrock", epochs=4, optimizer=belief, seeds=(0, 3)),
-            _blobs_config(epochs=2, seeds=(0, 1, 2)),
-            _blobs_config(epochs=3, optimizer=family, seeds=(2, 0), schedule=((1, 0.5),)),
-            _blobs_config(problem="blobs-mlp1", epochs=2, seeds=(0, 1)),
-            _blobs_config(problem="blobs-mlp1", epochs=2, batch_plan=plan, seeds=(4,)),
+        _blobs_cliff(temporary_problem, name, nan_loss=nan_loss, nan_grad=nan_grad)
+    plan = BatchPlan(batch_size=32, shuffle_seed=99)
+    fast = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=0.05)
+    belief = OptimizerConfig(algorithm=Algorithm.ADABELIEF)
+    family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.25)
+    configs = [
+        _quad_config(epochs=3, seeds=(1, 0)),
+        _quad_config(epochs=2, optimizer=family, schedule=((1, 0.5),)),
+        _quad_config(problem="rosenbrock", epochs=4, optimizer=belief, seeds=(0, 3)),
+        _blobs_config(epochs=2, seeds=(0, 1, 2)),
+        _blobs_config(epochs=3, optimizer=family, seeds=(2, 0), schedule=((1, 0.5),)),
+        _blobs_config(problem="blobs-mlp1", epochs=2, seeds=(0, 1)),
+        _blobs_config(problem="blobs-mlp1", epochs=2, batch_plan=plan, seeds=(4,)),
+    ]
+    for name in names:
+        # the fast row crosses the cliff mid-epoch, its neighbours never do
+        configs += [
+            _blobs_config(problem=name, epochs=3, seeds=(0, 1)),
+            _blobs_config(problem=name, epochs=3, optimizer=fast, seeds=(0, 1)),
+            _blobs_config(problem=name, epochs=3, optimizer=family, seeds=(1,)),
         ]
-        for name in names:
-            # the fast row crosses the cliff mid-epoch, its neighbours never do
-            configs += [
-                _blobs_config(problem=name, epochs=3, seeds=(0, 1)),
-                _blobs_config(problem=name, epochs=3, optimizer=fast, seeds=(0, 1)),
-                _blobs_config(problem=name, epochs=3, optimizer=family, seeds=(1,)),
-            ]
-        # same-label configs differ in epochs and plans here, which the
-        # grid's cell rule refuses, so this runs them through run_configs
-        raw, stacked, alone = {}, {}, {}
-        for config, results in zip(configs, run_configs(configs)):
-            key = (config.optimizer.label, config.problem)
-            raw.setdefault(key, []).extend(results)
-            stacked.setdefault(key, []).extend(_payload(r) for r in results)
-            for seed in config.seeds:
-                one = dataclasses.replace(config, seeds=(seed,))
-                alone.setdefault(key, []).append(_payload(_only_run(one)))
-        assert stacked == alone
-        for name in names:
-            fast_runs = raw[("Adam", name)][2:]
-            assert all(r.diverged and r.divergence_epoch == 1 for r in fast_runs)
-            assert all(len(r.train_loss) == 1 for r in fast_runs)
-            assert not any(r.diverged for r in raw[("AdaFamily(0.25)", name)])
-            problem = build_problem(name).problem
-            # 15 steps per epoch: the first bad call is inside epoch 1, not at its start
-            assert 15 < problem.first_cliff_call < 30
-    finally:
-        for name in names:
-            del _PROBLEM_BUILDERS[name]
-        build_problem.cache_clear()
+    # same-label configs differ in epochs and plans here, which the
+    # grid's cell rule refuses, so this runs them through run_configs
+    raw, alone = {}, {}
+    for config, results in zip(configs, run_configs(configs)):
+        key = (config.optimizer.label, config.problem)
+        raw.setdefault(key, []).extend(results)
+        for seed in config.seeds:
+            one = dataclasses.replace(config, seeds=(seed,))
+            alone.setdefault(key, []).append(_only_run(one))
+    assert bitwise(raw) == bitwise(alone)
+    for name in names:
+        fast_runs = raw[("Adam", name)][2:]
+        assert all(r.diverged and r.divergence_epoch == 1 for r in fast_runs)
+        assert all(len(r.train_loss) == 1 for r in fast_runs)
+        assert not any(r.diverged for r in raw[("AdaFamily(0.25)", name)])
+        problem = build_problem(name).problem
+        # 15 steps per epoch: the first bad call is inside epoch 1, not at its start
+        assert 15 < problem.first_cliff_call < 30
 
 
 class _CountingMLP(MLP1):
@@ -1046,54 +1044,45 @@ class _CountingMLP(MLP1):
         return super().loss_grad(params, batch)
 
 
-def _counting(name, hidden):
+def _counting(register, name, hidden):
     base = build_problem("blobs-mlp1")
-    register_problem(
+    register(
         name,
         lambda: ProblemSetup(problem=_CountingMLP(hidden), train=base.train, test=base.test),
     )
     return build_problem(name).problem
 
 
-def test_runs_of_a_problem_share_one_loss_grad_call_per_step():
-    narrow = _counting("count-narrow", hidden=16)  # dim 195: 42 runs per stack
-    wide = _counting("count-wide", hidden=600)  # dim 7,203: one run per stack
-    try:
-        lineup = sweep_mu_configs(MU_GRID, "count-narrow", seeds=range(5), epochs=2)
-        results = run_configs(lineup)
-        # 45 runs: a stack of 42 then one of 3, 15 steps per epoch each
-        assert narrow.heights == [42] * 30 + [3] * 30
-        elapsed = [r.elapsed_seconds for rs in results for r in rs]
-        assert len(set(elapsed)) == 2
-        run_configs(sweep_mu_configs((0.5,), "count-wide", seeds=range(2), epochs=1))
-        assert wide.heights == [1] * 5 * 2 * 15
-    finally:
-        for name in ("count-narrow", "count-wide"):
-            del _PROBLEM_BUILDERS[name]
-        build_problem.cache_clear()
+def test_runs_of_a_problem_share_one_loss_grad_call_per_step(temporary_problem):
+    narrow = _counting(temporary_problem, "count-narrow", hidden=16)  # dim 195: 42 runs per stack
+    wide = _counting(temporary_problem, "count-wide", hidden=600)  # dim 7,203: one run per stack
+    lineup = sweep_mu_configs(MU_GRID, "count-narrow", seeds=range(5), epochs=2)
+    results = run_configs(lineup)
+    # 45 runs: a stack of 42 then one of 3, 15 steps per epoch each
+    assert narrow.heights == [42] * 30 + [3] * 30
+    elapsed = [r.elapsed_seconds for rs in results for r in rs]
+    assert len(set(elapsed)) == 2
+    run_configs(sweep_mu_configs((0.5,), "count-wide", seeds=range(2), epochs=1))
+    assert wide.heights == [1] * 5 * 2 * 15
 
 
-def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call():
-    counting = _counting("count-rule", hidden=16)
-    try:
-        base = _blobs_config(problem="count-rule", seeds=(0, 1))
-        family = _blobs_config(optimizer=OptimizerConfig(algorithm=Algorithm.ADAFAMILY))
-        repeat = dataclasses.replace(base, seeds=(2, 1))
-        longer = dataclasses.replace(base, epochs=3, seeds=(2,))
-        with pytest.raises(ValueError, match="config 2: seed 1 of Adam on count-rule "
-                           "repeats one from config 0"):
-            run_grid([base, family, repeat])
-        with pytest.raises(ValueError, match="config 1: config of Adam on count-rule "
-                           "differs from config 0 in epochs"):
-            run_grid([base, longer])
-        n = build_problem("count-rule").train.n
-        whole = dataclasses.replace(family, problem="count-rule", batch_plan=BatchPlan(n, 1))
-        too_big = dataclasses.replace(whole, batch_plan=BatchPlan(n + 1, 1))
-        with pytest.raises(ValueError, match=f"batch_size {n + 1} exceeds the {n} training"):
-            run_grid([base, too_big])
-        assert counting.heights == []
-        run_grid([whole])
-        assert counting.heights == [1, 1]
-    finally:
-        del _PROBLEM_BUILDERS["count-rule"]
-        build_problem.cache_clear()
+def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call(temporary_problem):
+    counting = _counting(temporary_problem, "count-rule", hidden=16)
+    base = _blobs_config(problem="count-rule", seeds=(0, 1))
+    family = _blobs_config(optimizer=OptimizerConfig(algorithm=Algorithm.ADAFAMILY))
+    repeat = dataclasses.replace(base, seeds=(2, 1))
+    longer = dataclasses.replace(base, epochs=3, seeds=(2,))
+    with pytest.raises(ValueError, match="config 2: seed 1 of Adam on count-rule "
+                       "repeats one from config 0"):
+        run_grid([base, family, repeat])
+    with pytest.raises(ValueError, match="config 1: config of Adam on count-rule "
+                       "differs from config 0 in epochs"):
+        run_grid([base, longer])
+    n = build_problem("count-rule").train.n
+    whole = dataclasses.replace(family, problem="count-rule", batch_plan=BatchPlan(n, 1))
+    too_big = dataclasses.replace(whole, batch_plan=BatchPlan(n + 1, 1))
+    with pytest.raises(ValueError, match=f"batch_size {n + 1} exceeds the {n} training"):
+        run_grid([base, too_big])
+    assert counting.heights == []
+    run_grid([whole])
+    assert counting.heights == [1, 1]

@@ -9,7 +9,8 @@ together, the stacks mix every algorithm of a problem, and must still
 give the same payloads.  Running tools/regen_fixtures.py must also write
 every committed fixture back byte for byte, elapsed_seconds aside, which
 pins the file formats as well as the numbers, and so must `adafamily run`
-on a smoke config.
+on a smoke config.  The run-config example in docs/schemas.md is the
+committed quadratic run config, so the gate pins the doc as well.
 """
 
 import json
@@ -20,23 +21,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import bitwise
 
 from adafamily.cli import main
-from adafamily.harness import load_results, run_configs, save_run_config_file
+from adafamily.harness import RunConfig, load_results, run_configs, save_run_config_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 SMOKE = sorted((FIXTURES / "smoke").glob("*.json"))
-
-
-def _payloads(results):
-    # JSON text, so that -0.0 vs 0.0 or a NaN would also count as a change
-    out = []
-    for result in results:
-        payload = result.to_dict()
-        del payload["elapsed_seconds"]
-        out.append(payload)
-    return json.dumps(out, sort_keys=True)
 
 
 def test_smoke_fixtures_present():
@@ -46,7 +38,7 @@ def test_smoke_fixtures_present():
 @pytest.mark.parametrize("path", SMOKE, ids=[p.stem for p in SMOKE])
 def test_smoke_fixture_replays_bitwise(path):
     config, committed = load_results(path)
-    assert _payloads(run_configs([config])[0]) == _payloads(committed)
+    assert bitwise(run_configs([config])[0]) == bitwise(committed)
 
 
 def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
@@ -55,7 +47,7 @@ def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
     differing = [
         path.stem
         for path, (_, committed), results in zip(SMOKE, loaded, replayed)
-        if _payloads(results) != _payloads(committed)
+        if bitwise(results) != bitwise(committed)
     ]
     assert differing == []
 
@@ -105,3 +97,13 @@ def test_cli_run_rewrites_a_smoke_fixture(tmp_path, capsys):
     name = f"smoke/{path.name}"
     written = (out_dir / path.name).read_bytes()
     assert _mask_elapsed(name, written) == _mask_elapsed(name, path.read_bytes())
+
+
+def test_schema_doc_run_config_is_the_committed_fixture():
+    doc = (ROOT / "docs" / "schemas.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Run config .*?```json\n(.*?)```", doc, re.DOTALL)
+    example = json.loads(block)
+    committed = json.loads((FIXTURES / "quadratic_run.json").read_text(encoding="utf-8"))
+    # sorted JSON text, so 50 and 50.0 would also differ
+    assert json.dumps(example, sort_keys=True) == json.dumps(committed, sort_keys=True)
+    assert RunConfig.from_dict(example["run"]).to_dict() == example["run"]
