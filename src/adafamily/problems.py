@@ -16,8 +16,9 @@ and computes each row independently: row r of a stacked call equals the
 single-run call byte for byte.  `Problem.loss_grad` checks every call
 and treats a 1-D call as the one-row stack; every problem evaluates stacks
 only, through one path, and a caller that needs only the loss reads
-``loss_grad(...)[0]``.  The two classifiers share one softmax head (see
-`Problem` and docs/determinism.md).
+``loss_grad(...)[0]``.  The two classifiers are one softmax classifier
+whose layout has a tanh layer or not (see `_Classifier` and
+docs/determinism.md).
 
 Parameter layouts are fixed and documented per class; `init_params` is
 seed-deterministic through :mod:`adafamily.rng`.
@@ -201,30 +202,35 @@ def _softmax_ce(
 
 
 class _Classifier(Problem):
-    """Softmax cross-entropy over a linear head: logits = inputs @ W' + b.
+    """Softmax cross-entropy over a linear head, logits = inputs @ W' + b,
+    whose inputs are the features or, with ``hidden`` >= 1, one tanh layer
+    over them, tanh(features @ W1' + b1).
 
-    A subclass passes its parameter layout, a tuple of (W, b) block shape
-    pairs whose last pair is the head's W (num_classes x width, row-major)
-    and b (num_classes), and supplies two hooks over the stacked views of the
-    blocks before the head (its body):
-
-    - `_head_inputs(body, features)`: the (R, n, width) head inputs, or
-      the features themselves when the head reads them directly;
-    - `_body_grad(body, w, features, inputs, dlogits)`: the gradient
-      blocks of the body, in layout order.  It may overwrite ``inputs``.
+    The parameter layout is W1 (hidden x num_features, row-major) and b1
+    (hidden) when the layer is there, then the head's W (num_classes x
+    width, row-major) and b (num_classes), where the width is ``hidden``,
+    or num_features without the layer.
     """
 
     requires_batch = True
 
-    def __init__(self, num_features: int, num_classes: int, layout: tuple):
+    def __init__(self, num_features: int, num_classes: int, hidden: int = 0):
         if num_features < 1 or num_classes < 2:
             raise ValueError("need num_features >= 1 and num_classes >= 2")
         self.num_features = num_features
         self.num_classes = num_classes
-        self._layout = layout
-        self.dim = sum(math.prod(shape) for shape in layout)
+        h, p, k = hidden, num_features, num_classes
+        body = ((h, p), (h,)) if hidden else ()
+        self._layout = body + ((k, h or p), (k,))
+        self.dim = sum(math.prod(shape) for shape in self._layout)
 
-    def _check_features(self, features: np.ndarray) -> None:
+    def _check_stack(self, params, features):
+        # the shapes a Batch holds, so predict refuses what loss_grad never gets
+        if features.ndim not in (2, 3):
+            raise ValueError(
+                f"features must be 2-D, or 3-D for a stack, got shape {features.shape}"
+            )
+        super()._check_stack(params, features)
         if features.shape[-1] != self.num_features:
             raise ValueError(
                 f"batch has {features.shape[-1]} features, "
@@ -233,7 +239,6 @@ class _Classifier(Problem):
 
     def _check_eval(self, params, batch):
         super()._check_eval(params, batch)
-        self._check_features(batch.features)
         if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
             raise ValueError(f"batch labels must lie in [0, {self.num_classes})")
 
@@ -258,7 +263,13 @@ class _Classifier(Problem):
 
     def _forward(self, stack: np.ndarray, features: np.ndarray):
         *body, w, b = self._unpack(stack)
-        inputs = self._head_inputs(body, features)
+        inputs = features
+        if body:
+            # tanh(features @ W1' + b1) per row, (R, n, h), in one buffer
+            w1, b1 = body
+            inputs = features @ w1.transpose(0, 2, 1)
+            inputs += b1[:, None, :]
+            np.tanh(inputs, out=inputs)
         logits = inputs @ w.transpose(0, 2, 1)
         logits += b[:, None, :]
         return body, w, inputs, logits
@@ -266,9 +277,14 @@ class _Classifier(Problem):
     def _loss_grad(self, stack, batch):
         body, w, inputs, logits = self._forward(stack, batch.features)
         losses, dlogits = _softmax_ce(logits, batch.labels)
-        # the head's gradient first: the body's backward pass may overwrite inputs
-        head = [dlogits.transpose(0, 2, 1) @ inputs, _over_batch(dlogits)]
-        blocks = self._body_grad(body, w, batch.features, inputs, dlogits) + head
+        blocks = [dlogits.transpose(0, 2, 1) @ inputs, _over_batch(dlogits)]
+        if body:
+            # dz1 = da1 * (1 - a1 * a1), computed in the buffer of the tanh
+            # layer a1 (inputs), which the head's gradient has read
+            np.multiply(inputs, inputs, out=inputs)
+            np.subtract(1.0, inputs, out=inputs)
+            dz1 = np.multiply(dlogits @ w, inputs, out=inputs)
+            blocks = [dz1.transpose(0, 2, 1) @ batch.features, _over_batch(dz1)] + blocks
         r = len(losses)
         return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
 
@@ -276,7 +292,6 @@ class _Classifier(Problem):
         """Argmax labels per parameter row, checked as `loss_grad` checks."""
         self._check_params(params)
         self._check_stack(params, features)
-        self._check_features(features)
         logits = self._forward(params.reshape(-1, self.dim), features)[-1]
         labels = np.argmax(logits, axis=-1)
         return labels[0] if params.ndim == 1 else labels
@@ -292,14 +307,7 @@ class LogisticRegression(_Classifier):
     kind = "logreg"
 
     def __init__(self, num_features: int, num_classes: int):
-        k, p = num_classes, num_features
-        super().__init__(p, k, ((k, p), (k,)))
-
-    def _head_inputs(self, body, features):
-        return features
-
-    def _body_grad(self, body, w, features, inputs, dlogits):
-        return []
+        super().__init__(num_features, num_classes)
 
 
 class MLP1(_Classifier):
@@ -315,24 +323,7 @@ class MLP1(_Classifier):
     def __init__(self, num_features: int, num_classes: int, hidden: int):
         if hidden < 1:
             raise ValueError("need hidden >= 1")
-        self.hidden = hidden
-        h, p, k = hidden, num_features, num_classes
-        super().__init__(p, k, ((h, p), (h,), (k, h), (k,)))
-
-    def _head_inputs(self, body, features):
-        # tanh(features @ W1' + b1) per row, (R, n, h), in one buffer
-        w1, b1 = body
-        a1 = features @ w1.transpose(0, 2, 1)
-        a1 += b1[:, None, :]
-        return np.tanh(a1, out=a1)
-
-    def _body_grad(self, body, w, features, a1, dlogits):
-        # dz1 = da1 * (1 - a1 * a1), computed in place over da1 and a1
-        dz1 = dlogits @ w
-        np.multiply(a1, a1, out=a1)
-        np.subtract(1.0, a1, out=a1)
-        dz1 *= a1
-        return [dz1.transpose(0, 2, 1) @ features, _over_batch(dz1)]
+        super().__init__(num_features, num_classes, hidden)
 
 
 _FD_STEP = 1e-6  # the h of `finite_diff_grad`

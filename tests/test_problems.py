@@ -1,5 +1,6 @@
 """Tests for the objective functions and the finite-difference oracle."""
 
+import hashlib
 import math
 import re
 
@@ -437,6 +438,40 @@ def test_stacked_predict_rows_equal_single_calls():
             )[r].tobytes()
 
 
+# SHA-256 over the losses, gradient and predicted labels of a 3-row stacked
+# batch, then of one batch shared by the 3 rows; bitwise within the replay
+# gate's scope (docs/determinism.md, "Scope of the bitwise contract")
+_CLASSIFIER_DIGESTS = {
+    "logreg": "88b7dd38ccf9b1eaee8d5db031ddb35b32ab519a2029535ec900615bdfb6d01f",
+    "mlp1-h1": "588ca1ff1063f011ade636204870c18da398b8797f3d9553f53e98281a06442b",
+    "mlp1-h16": "7e1ce32f5faad14f33513f3613702777f924b8a0086e4aa0c201c43bfbe7c457",
+    "mlp1-h1024": "b9f144cd25f5a454fb26548fef25510b7c781d007edd608bd3e4f8b4b1d4099f",
+}
+_FROZEN_CLASSIFIERS = [
+    ("logreg", LogisticRegression(8, 3)),
+    *((f"mlp1-h{h}", MLP1(8, 3, hidden=h)) for h in (1, 16, 1024)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,problem", _FROZEN_CLASSIFIERS, ids=[n for n, _ in _FROZEN_CLASSIFIERS]
+)
+def test_classifier_evaluations_are_frozen(name, problem):
+    # hidden 1 takes _over_batch's one-wide branch, 1024 is wide-mlp's width
+    r, n = 3, 20
+    key = rng.derive_key(990, problem.dim)
+    params = 2.0 * rng.normals(rng.derive_key(key, 0), r * problem.dim).reshape(r, -1)
+    feats = rng.normals(rng.derive_key(key, 1), r * n * 8).reshape(r, n, 8)
+    labels = (rng.random_u64(rng.derive_key(key, 2), r * n) % np.uint64(3)).astype(np.int64)
+    stacked = Batch(feats, labels.reshape(r, n))
+    digest = hashlib.sha256()
+    for batch in (stacked, Batch(feats[0], stacked.labels[0])):
+        losses, grads = problem.loss_grad(params, batch)
+        for value in (losses, grads, problem.predict(params, batch.features)):
+            digest.update(value.tobytes())
+    assert digest.hexdigest() == _CLASSIFIER_DIGESTS[name]
+
+
 def _analytic_row_reference(problem, row):
     # the per-row formulas: A @ row is one gemv, and Python floats round each
     # operation as numpy's elementwise calls do, overflowing without raising
@@ -507,6 +542,19 @@ def test_predict_refuses_a_stack_as_loss_grad_does(shape, stack):
     assert f"a stack of {stack} batches" in str(refused.value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         mlp.predict(params, features)
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 2, 3, 8)], ids=["1-D", "4-D"])
+@pytest.mark.parametrize(
+    "problem", [LogisticRegression(8, 3), MLP1(8, 3, hidden=16)], ids=["logreg", "mlp1"]
+)
+def test_predict_refuses_features_no_batch_holds(problem, shape):
+    # loss_grad never sees such features: a Batch refuses them first
+    features = np.zeros(shape)
+    with pytest.raises(ValueError) as refused:
+        Batch(features, np.zeros(shape[:-1], dtype=np.int64))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        problem.predict(np.zeros(problem.dim), features)
 
 
 def test_stacked_batch_needs_one_parameter_row_per_batch():

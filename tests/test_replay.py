@@ -10,7 +10,8 @@ give the same payloads.  Running tools/regen_fixtures.py must also write
 every committed fixture back byte for byte, elapsed_seconds aside, which
 pins the file formats as well as the numbers, and so must `adafamily run`
 on a smoke config.  The run-config example in docs/schemas.md is the
-committed quadratic run config, so the gate pins the doc as well.
+committed quadratic run config, and its results example is a file that
+loads and replays, so the gate pins the doc as well.
 """
 
 import json
@@ -99,11 +100,25 @@ def test_cli_run_rewrites_a_smoke_fixture(tmp_path, capsys):
     assert _mask_elapsed(name, written) == _mask_elapsed(name, path.read_bytes())
 
 
-def test_schema_doc_run_config_is_the_committed_fixture():
+def _schema_doc_example(heading):
+    # the JSON block under a docs/schemas.md heading
     doc = (ROOT / "docs" / "schemas.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"## Run config .*?```json\n(.*?)```", doc, re.DOTALL)
-    example = json.loads(block)
+    (block,) = re.findall(rf"## {heading} .*?```json\n(.*?)```", doc, re.DOTALL)
+    return block
+
+
+def test_schema_doc_run_config_is_the_committed_fixture():
+    example = json.loads(_schema_doc_example("Run config"))
     committed = json.loads((FIXTURES / "quadratic_run.json").read_text(encoding="utf-8"))
     # sorted JSON text, so 50 and 50.0 would also differ
     assert json.dumps(example, sort_keys=True) == json.dumps(committed, sort_keys=True)
     assert RunConfig.from_dict(example["run"]).to_dict() == example["run"]
+
+
+def test_schema_doc_results_example_loads_and_replays(tmp_path):
+    block = _schema_doc_example("Results")
+    path = tmp_path / "example.json"
+    path.write_text(block, encoding="utf-8")
+    config, results = load_results(path)
+    assert config.to_dict() == json.loads(block)["config"]
+    assert bitwise(run_configs([config])[0]) == bitwise(results)
