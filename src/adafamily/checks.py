@@ -5,12 +5,12 @@ floats in one explicit loop, `_scalar_run`, sharing no code with the
 vectorized module; each states what its rule squares into v and where
 its eps sits.
 They are the oracle side of every dual-route test: the fast path in
-:mod:`adafamily.optim` must reproduce their trajectories to within 1e-12
-relative.  Two of them (``ref_adam_eps_in_v_run``,
-``ref_adabelief_eps_in_v_run``) implement the eps-inside-v counterparts of
-Adam and AdaBelief that the blend endpoints mu=0 and mu=0.5 must match;
-they intentionally do NOT equal the standard baselines, whose eps sits in
-the denominator.
+:mod:`adafamily.optim` must reproduce their trajectories bit for bit, as
+both round each IEEE operation in the same order.  Two of them
+(``ref_adam_eps_in_v_run``, ``ref_adabelief_eps_in_v_run``) implement the
+eps-inside-v counterparts of Adam and AdaBelief that the blend endpoints
+mu=0 and mu=0.5 must match; they intentionally do NOT equal the standard
+baselines, whose eps sits in the denominator.
 
 ``run_checks`` executes the named invariant checks (the CLI ``check``
 subcommand calls it) and reports one line per check.
@@ -62,7 +62,7 @@ def _scalar_run(
     and the updated first moment.  ``v_eps`` is added to v and ``den_eps`` to
     sqrt(v_hat); an eps of 0.0 adds nothing, since neither is ever -0.0.
     Coupled decay adds lam * theta to the gradient; decoupled decay goes
-    through `_decayed`.
+    through `_decayed`.  Every product and quotient rounds in `step`'s order.
     """
     d = len(theta0)
     m = [0.0] * d
@@ -77,10 +77,10 @@ def _scalar_run(
         for i in range(d):
             m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
             s = squared(g[i], m[i])
-            v[i] = beta2 * v[i] + (1.0 - beta2) * s * s + v_eps
+            v[i] = beta2 * v[i] + s * s * (1.0 - beta2) + v_eps
             m_hat = m[i] / (1.0 - beta1**t)
             v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - eta * m_hat / (math.sqrt(v_hat) + den_eps)
+            new[i] = theta[i] - m_hat / (math.sqrt(v_hat) + den_eps) * eta
         theta = new if coupled else _decayed(new, theta, eta, weight_decay)
         out.append(list(theta))
     return out
@@ -266,30 +266,29 @@ def check_normalization_symmetry() -> tuple[bool, str]:
     return worst == 0.0, f"max |c(mu) - c(1-mu)| = {worst:g} over 1000 draws"
 
 
-def _endpoint_divergence(mu: float, oracle: Callable[..., list[list[float]]]) -> float:
+def _endpoint_check(mu: float, oracle: Callable, name: str) -> tuple[bool, str]:
     dim, steps = 32, 100
     theta0 = rng.normals(rng.derive_key(11, int(mu * 100)), dim)
     config = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=mu)
     streams = _random_grad_streams(12, 5, steps, dim)
-    return relative_error(
-        [trajectory(config, grads, theta0) for grads in streams],
-        [oracle(grads.tolist(), theta0.tolist()) for grads in streams],
-    )
+    fast = [trajectory(config, grads, theta0) for grads in streams]
+    ref = [oracle(grads.tolist(), theta0.tolist()) for grads in streams]
+    # bytes, not ==, which calls -0.0 and 0.0 equal
+    if np.asarray(fast).tobytes() == np.asarray(ref).tobytes():
+        return True, f"mu={mu} vs {name} oracle: bitwise equal"
+    return False, f"mu={mu} vs {name} oracle: relative error {relative_error(fast, ref):.3e}"
 
 
 def check_endpoint_adamomentum() -> tuple[bool, str]:
-    worst = _endpoint_divergence(1.0, ref_adamomentum_run)
-    return worst < 1e-12, f"mu=1.0 vs AdaMomentum oracle divergence {worst:.3e}"
+    return _endpoint_check(1.0, ref_adamomentum_run, "AdaMomentum")
 
 
 def check_endpoint_adam_eps_in_v() -> tuple[bool, str]:
-    worst = _endpoint_divergence(0.0, ref_adam_eps_in_v_run)
-    return worst < 1e-12, f"mu=0.0 vs eps-in-v Adam oracle divergence {worst:.3e}"
+    return _endpoint_check(0.0, ref_adam_eps_in_v_run, "eps-in-v Adam")
 
 
 def check_endpoint_adabelief_eps_in_v() -> tuple[bool, str]:
-    worst = _endpoint_divergence(0.5, ref_adabelief_eps_in_v_run)
-    return worst < 1e-12, f"mu=0.5 vs eps-in-v AdaBelief oracle divergence {worst:.3e}"
+    return _endpoint_check(0.5, ref_adabelief_eps_in_v_run, "eps-in-v AdaBelief")
 
 
 def check_v_lower_bound() -> tuple[bool, str]:

@@ -2,7 +2,7 @@
 
 Subcommands:
   run       execute one run-config file, write a results JSON
-  sweep-mu  run the default protocol grid (baselines + chosen mus) on one problem
+  sweep-mu  run baselines + chosen mus on one problem, write results and a Markdown table
   table     aggregate results files into a Markdown or CSV table
   check     run the named invariant/oracle self-checks
 
@@ -90,8 +90,8 @@ def _cmd_sweep_mu(args: argparse.Namespace) -> int:
         # each config of the sweep is a cell of its own
         path = out_dir / results_filename(config)
         save_results(path, config, cells[config.optimizer.label, config.problem])
-    table = emit_table(cells, args.format)
-    table_path = out_dir / f"sweep_{args.problem}.{args.format}"
+    table = emit_table(cells)
+    table_path = out_dir / f"sweep_{args.problem}.md"
     write_text_atomic(table_path, table)
     _print_table(table)
     print(f"\nwrote {len(configs)} results files and {table_path}", file=sys.stderr)
@@ -144,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--epochs", type=int, default=DESK_EPOCHS)
     p_sweep.add_argument("--batch-size", type=int, default=DESK_BATCH_SIZE)
-    p_sweep.add_argument("--format", choices=FORMATS, default="md")
     p_sweep.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./results)")
     p_sweep.set_defaults(func=_cmd_sweep_mu)
 

@@ -155,10 +155,11 @@ def _over_classes(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
 
     numpy starts a reduction from the ufunc's identity where it has one and
     folds fewer than 8 contiguous terms left to right, so for K < 8 columns
-    this gives its bytes for any input without a NaN (one with a NaN gives
-    NaN, whose sign bit may differ).  For K >= 8 the fold stays sequential
-    where numpy's sum turns pairwise.  Per-call dispatch over a few wide
-    columns costs far less than numpy's reduction over many K-wide rows.
+    this gives its bytes for any input without a NaN, but for a zero max's
+    sign, which follows the host's SIMD loops as a NaN's sign bit does (the
+    softmax's exp is the same after x - (+-0)).  For K >= 8 the fold stays
+    sequential where numpy's sum turns pairwise.  Per-call dispatch over a
+    few wide columns costs far less than numpy's reduction over many rows.
     """
     first = x[..., 0]
     out = first.copy() if ufunc.identity is None else ufunc(ufunc.identity, first)

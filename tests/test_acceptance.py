@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import bitwise
 
 from adafamily.checks import (
@@ -170,6 +171,7 @@ def _blobs_first_hits(threshold, max_steps):
     return hits
 
 
+@pytest.mark.host_kernels
 def test_criterion_convergence_reference_problems(acceptance_report):
     reference = _reference()
     quad_ref, blobs_ref = reference["quadratic"], reference["blobs_logreg"]

@@ -499,32 +499,6 @@ def test_sweep_mu_runs_an_analytic_problem_once_per_start_by_default(tmp_path, c
         assert [r.seed for r in loaded] == [0]
 
 
-def test_sweep_mu_csv_format(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "sweep-mu",
-                "--mus",
-                "0.0,1.0",
-                "--problem",
-                "rosenbrock",
-                "--seeds",
-                "1",
-                "--epochs",
-                "2",
-                "--format",
-                "csv",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "algorithm,rosenbrock,rosenbrock_rank,rosenbrock_diverged"
-    assert (tmp_path / "sweep_rosenbrock.csv").exists()
-
-
 @pytest.mark.parametrize(
     "mus",
     ["", "abc", "0.5,,nope", "1.5", "0.5,-0.25"],
@@ -650,6 +624,13 @@ def test_sweep_mu_rejects_zero_seeds(tmp_path, capsys):
 def test_sweep_mu_unknown_problem_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-mu", "--mus", "0.5", "--problem", "nope"])
+
+
+def test_sweep_mu_has_no_format_option(capsys):
+    # the sweep writes Markdown; `table --format csv` prints its files' CSV
+    with pytest.raises(SystemExit):
+        main(["sweep-mu", "--mus", "0.5", "--problem", "quadratic", "--format", "csv"])
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,7 @@ _FROZEN_CLASSIFIERS = [
 ]
 
 
+@pytest.mark.host_kernels
 @pytest.mark.parametrize(
     "name,problem", _FROZEN_CLASSIFIERS, ids=[n for n, _ in _FROZEN_CLASSIFIERS]
 )
@@ -586,11 +587,17 @@ def test_class_reductions_equal_numpys_on_mixed_scales(k):
     assert _over_classes(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+# with K = 5 and 6, some rows hold 0.0 and -0.0 under a zero max, and
+# numpy's loops without AVX-512 keep the other zero
+@pytest.mark.parametrize(
+    "k",
+    [pytest.param(k, marks=pytest.mark.host_kernels) if k in (5, 6) else k for k in range(2, 8)],
+)
 def test_class_reductions_equal_numpys_on_nonfinite_rows(k):
     # a row without NaN, infinities and signed zeros included, gives numpy's
-    # bytes; a row with a NaN gives NaN, whose sign bit numpy itself picks
-    # differently in its scalar and SIMD loops
+    # bytes where numpy's max keeps the same zero; a row with a NaN gives
+    # NaN, whose sign bit numpy itself picks differently in its scalar and
+    # SIMD loops
     specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5])
     pick = rng.random_u64(rng.derive_key(960, k), 8 * 50 * k) % np.uint64(len(specials))
     x = specials[pick.astype(np.int64)].reshape(8, 50, k)

@@ -36,12 +36,14 @@ def test_smoke_fixtures_present():
     assert len(SMOKE) == 18
 
 
+@pytest.mark.host_kernels
 @pytest.mark.parametrize("path", SMOKE, ids=[p.stem for p in SMOKE])
 def test_smoke_fixture_replays_bitwise(path):
     config, committed = load_results(path)
     assert bitwise(run_configs([config])[0]) == bitwise(committed)
 
 
+@pytest.mark.host_kernels
 def test_smoke_fixtures_replay_bitwise_in_mixed_stacks():
     loaded = [load_results(path) for path in SMOKE]
     replayed = run_configs([config for config, _ in loaded])
@@ -67,6 +69,7 @@ def _mask_elapsed(name, data):
     return re.sub(rb'("elapsed_seconds": )[^,\n]+', rb"\1<elapsed>", data)
 
 
+@pytest.mark.host_kernels
 def test_regenerated_fixtures_match_committed_bytes(tmp_path):
     (tmp_path / "tools").mkdir()
     shutil.copy(ROOT / "tools" / "regen_fixtures.py", tmp_path / "tools")
@@ -88,6 +91,7 @@ def test_regenerated_fixtures_match_committed_bytes(tmp_path):
     assert differing == []
 
 
+@pytest.mark.host_kernels
 def test_cli_run_rewrites_a_smoke_fixture(tmp_path, capsys):
     path = FIXTURES / "smoke" / "blobs-mlp1--adafamily-0.5.json"
     config_path = tmp_path / "run.json"
