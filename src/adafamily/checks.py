@@ -1,13 +1,14 @@
 """Self-checks and plain-Python reference step rules.
 
-The ``ref_*_run`` functions re-derive every update with scalar Python
+The ``ref_*_run`` oracles re-derive every update with scalar Python
 floats in one explicit loop, `_scalar_run`, sharing no code with the
-vectorized module; each states what its rule squares into v and where
-its eps sits.
+vectorized module.  They form a table: each oracle is one row, what it
+squares into v, where its eps sits (inside v, in the denominator, or
+both) and whether its decay is coupled.
 They are the oracle side of every dual-route test: the fast path in
 :mod:`adafamily.optim` must reproduce their trajectories bit for bit, as
-both round each IEEE operation in the same order.  Two of them
-(``ref_adam_eps_in_v_run``, ``ref_adabelief_eps_in_v_run``) implement the
+both round each IEEE operation in the same order.  Two rows
+(``ref_adam_eps_in_v_run``, ``ref_adabelief_eps_in_v_run``) are the
 eps-inside-v counterparts of Adam and AdaBelief that the blend endpoints
 mu=0 and mu=0.5 must match; they intentionally do NOT equal the standard
 baselines, whose eps sits in the denominator.
@@ -37,182 +38,83 @@ from .problems import default_problems_for_gradcheck, finite_diff_grad, relative
 Vector = Sequence[float]
 
 
-def _decayed(theta_new: list[float], theta_old: Vector, eta: float, lam: float) -> list[float]:
-    if lam <= 0.0:
-        return theta_new
-    return [tn - eta * lam * to for tn, to in zip(theta_new, theta_old)]
-
-
 def _scalar_run(
+    name: str,
     squared: Callable[[float, float], float],
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float,
-    beta1: float,
-    beta2: float,
-    v_eps: float,
-    den_eps: float,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
+    eps_at: str,
     coupled: bool = False,
-) -> list[list[float]]:
-    """The loop every oracle shares; returns the parameter vector after each step.
+) -> Callable[..., list[list[float]]]:
+    """The oracle ``ref_<name>_run`` for one row of the table.
 
     ``squared(g, m)`` is what the rule squares into v, given the gradient
-    and the updated first moment.  ``v_eps`` is added to v and ``den_eps`` to
-    sqrt(v_hat); an eps of 0.0 adds nothing, since neither is ever -0.0.
-    Coupled decay adds lam * theta to the gradient; decoupled decay goes
-    through `_decayed`.  Every product and quotient rounds in `step`'s order.
+    and the updated first moment.  ``eps_at`` is where its eps sits: ``"v"``
+    adds it to v, ``"denominator"`` to sqrt(v_hat), ``"both"`` to each.
+    Coupled decay adds lam * theta to the gradient; decoupled decay shrinks
+    the stepped parameters.  The oracle returns the parameter vector after
+    each step, every product and quotient rounded in `step`'s order.
     """
-    d = len(theta0)
-    m = [0.0] * d
-    v = [0.0] * d
-    theta = list(theta0)
-    out = []
-    for t, g in enumerate(grads, start=1):
-        eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
-        if coupled and weight_decay > 0.0:
-            g = [gi + weight_decay * ti for gi, ti in zip(g, theta)]
-        new = [0.0] * d
-        for i in range(d):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            s = squared(g[i], m[i])
-            v[i] = beta2 * v[i] + s * s * (1.0 - beta2) + v_eps
-            m_hat = m[i] / (1.0 - beta1**t)
-            v_hat = v[i] / (1.0 - beta2**t)
-            new[i] = theta[i] - m_hat / (math.sqrt(v_hat) + den_eps) * eta
-        theta = new if coupled else _decayed(new, theta, eta, weight_decay)
-        out.append(list(theta))
-    return out
+
+    def run(
+        grads: Sequence[Vector],
+        theta0: Vector,
+        alpha: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+        lr_scales: Sequence[float] | None = None,
+    ) -> list[list[float]]:
+        # an eps of 0.0 adds nothing, since neither v nor sqrt(v_hat) is -0.0
+        v_eps = 0.0 if eps_at == "denominator" else eps
+        den_eps = 0.0 if eps_at == "v" else eps
+        d = len(theta0)
+        m = [0.0] * d
+        v = [0.0] * d
+        theta = list(theta0)
+        out = []
+        for t, g in enumerate(grads, start=1):
+            eta = alpha * (lr_scales[t - 1] if lr_scales is not None else 1.0)
+            if coupled and weight_decay > 0.0:
+                g = [gi + weight_decay * ti for gi, ti in zip(g, theta)]
+            new = [0.0] * d
+            for i in range(d):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+                s = squared(g[i], m[i])
+                v[i] = beta2 * v[i] + s * s * (1.0 - beta2) + v_eps
+                m_hat = m[i] / (1.0 - beta1**t)
+                v_hat = v[i] / (1.0 - beta2**t)
+                new[i] = theta[i] - m_hat / (math.sqrt(v_hat) + den_eps) * eta
+            if not coupled and weight_decay > 0.0:
+                new = [tn - eta * weight_decay * to for tn, to in zip(new, theta)]
+            theta = new
+            out.append(theta)
+        return out
+
+    # reprs and parametrized test ids show the oracle's public name
+    run.__name__ = run.__qualname__ = f"ref_{name}_run"
+    return run
 
 
-def ref_adafamily_run(
-    mu: float,
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
-) -> list[list[float]]:
-    """Scalar-loop blended rule; returns the parameter vector after each step."""
+def ref_adafamily_run(mu: float, *args, **kwargs) -> list[list[float]]:
+    """The blend at ``mu``: v squares c * ((1 - mu) g - mu m), eps inside v.
+
+    Takes ``mu`` and then the arguments of every other oracle.
+    """
     c = 2.0 * (1.0 - abs(mu - 0.5))
-    return _scalar_run(
-        lambda g, m: c * ((1.0 - mu) * g - mu * m),
-        grads, theta0, alpha, beta1, beta2,
-        v_eps=eps, den_eps=0.0, weight_decay=weight_decay, lr_scales=lr_scales,
-    )
+    oracle = _scalar_run("adafamily", lambda g, m: c * ((1.0 - mu) * g - mu * m), "v")
+    return oracle(*args, **kwargs)
 
 
-def ref_adam_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
-) -> list[list[float]]:
-    """Scalar-loop Adam with coupled (L2-style) decay."""
-    return _scalar_run(
-        lambda g, m: g,
-        grads, theta0, alpha, beta1, beta2,
-        v_eps=0.0, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
-        coupled=True,
-    )
-
-
-def ref_adamw_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
-) -> list[list[float]]:
-    """Scalar-loop AdamW: Adam gradient path plus decoupled decay."""
-    return _scalar_run(
-        lambda g, m: g,
-        grads, theta0, alpha, beta1, beta2,
-        v_eps=0.0, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
-    )
-
-
-def ref_adabelief_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
-) -> list[list[float]]:
-    """Scalar-loop AdaBelief: v squares (g - m), +eps in v AND eps in the
-    denominator, per the method's original form."""
-    return _scalar_run(
-        lambda g, m: g - m,
-        grads, theta0, alpha, beta1, beta2,
-        v_eps=eps, den_eps=eps, weight_decay=weight_decay, lr_scales=lr_scales,
-    )
-
-
-def ref_adamomentum_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-    lr_scales: Sequence[float] | None = None,
-) -> list[list[float]]:
-    """Scalar-loop AdaMomentum: v squares m, eps inside v, bare sqrt below."""
-    return _scalar_run(
-        lambda g, m: m,
-        grads, theta0, alpha, beta1, beta2,
-        v_eps=eps, den_eps=0.0, weight_decay=weight_decay, lr_scales=lr_scales,
-    )
-
-
-def ref_adam_eps_in_v_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> list[list[float]]:
-    """Adam variant with +eps inside v and a bare sqrt denominator.
-
-    This is what the blended rule reduces to at mu = 0; it is close to, but
-    not the same as, standard Adam.
-    """
-    return _scalar_run(
-        lambda g, m: g, grads, theta0, alpha, beta1, beta2, v_eps=eps, den_eps=0.0
-    )
-
-
-def ref_adabelief_eps_in_v_run(
-    grads: Sequence[Vector],
-    theta0: Vector,
-    alpha: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> list[list[float]]:
-    """AdaBelief variant with a bare sqrt denominator (eps only inside v).
-
-    This is what the blended rule reduces to at mu = 0.5.
-    """
-    return _scalar_run(
-        lambda g, m: g - m, grads, theta0, alpha, beta1, beta2, v_eps=eps, den_eps=0.0
-    )
+# the table: each oracle is one row, what it squares into v, where its eps
+# sits and whether its decay is coupled
+ref_adam_run = _scalar_run("adam", lambda g, m: g, "denominator", coupled=True)  # L2-style
+ref_adamw_run = _scalar_run("adamw", lambda g, m: g, "denominator")
+# AdaBelief's original form has eps in both places
+ref_adabelief_run = _scalar_run("adabelief", lambda g, m: g - m, "both")
+ref_adamomentum_run = _scalar_run("adamomentum", lambda g, m: m, "v")
+# what mu = 0 and mu = 0.5 reduce to, not the standard Adam and AdaBelief
+ref_adam_eps_in_v_run = _scalar_run("adam_eps_in_v", lambda g, m: g, "v")
+ref_adabelief_eps_in_v_run = _scalar_run("adabelief_eps_in_v", lambda g, m: g - m, "v")
 
 
 def trajectory(

@@ -143,7 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
         "no batches, those of them whose start differs)",
     )
     p_sweep.add_argument("--epochs", type=int, default=DESK_EPOCHS)
-    p_sweep.add_argument("--batch-size", type=int, default=DESK_BATCH_SIZE)
+    p_sweep.add_argument(
+        "--batch-size",
+        type=int,
+        help=f"rows per mini-batch (default {DESK_BATCH_SIZE}); an analytic problem takes none",
+    )
     p_sweep.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./results)")
     p_sweep.set_defaults(func=_cmd_sweep_mu)
 

@@ -450,15 +450,23 @@ def sweep_mu_configs(
     problem: str,
     seeds: Sequence[int] | None = None,
     epochs: int = DESK_EPOCHS,
-    batch_size: int = DESK_BATCH_SIZE,
+    batch_size: int | None = None,
 ) -> list[RunConfig]:
     """Grid configs for the default protocol on one problem.
 
     Without ``seeds``, a problem that takes batches runs `DESK_SEEDS`.  An
     analytic one depends on its seed only through `init_params`, so it runs
     the `DESK_SEEDS` whose start differs from every earlier seed's.
+    A problem that takes batches runs ``batch_size`` rows per batch,
+    `DESK_BATCH_SIZE` when it is None; an analytic one refuses any value.
     """
     setup = build_problem(problem)
+    if batch_size is None:
+        batch_size = DESK_BATCH_SIZE
+    elif not setup.problem.requires_batch:
+        raise ValueError(
+            f"problem {problem} is analytic and takes no --batch-size, got {batch_size}"
+        )
     if seeds is None and setup.problem.requires_batch:
         seeds = DESK_SEEDS
     elif seeds is None:

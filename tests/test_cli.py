@@ -621,6 +621,15 @@ def test_sweep_mu_rejects_zero_seeds(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_sweep_mu_refuses_a_batch_size_on_an_analytic_problem(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep-mu", "--mus", "0.5", "--problem", "quadratic", "--batch-size", "7"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "problem quadratic is analytic and takes no --batch-size, got 7" in err
+    assert not out.exists()
+
+
 def test_sweep_mu_unknown_problem_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-mu", "--mus", "0.5", "--problem", "nope"])

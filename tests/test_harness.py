@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import signal
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import bitwise
 
 from adafamily.data import BatchPlan, Dataset
 from adafamily.harness import (
+    DESK_BATCH_SIZE,
     DESK_SCHEDULE,
     DESK_SEEDS,
     MU_GRID,
@@ -546,6 +548,16 @@ def test_sweep_mu_configs_on_analytic_problem():
     assert all(c.metric == "final_loss" for c in configs)
 
 
+def test_sweep_mu_configs_give_a_batch_size_only_to_a_problem_that_takes_batches():
+    for given, size in ((None, DESK_BATCH_SIZE), (7, 7)):
+        configs = sweep_mu_configs((0.5,), "blobs-logreg", batch_size=given)
+        assert {c.batch_plan.batch_size for c in configs} == {size}
+    for size in (7, DESK_BATCH_SIZE):
+        message = f"quadratic is analytic and takes no --batch-size, got {size}"
+        with pytest.raises(ValueError, match=message):
+            sweep_mu_configs((0.5,), "quadratic", batch_size=size)
+
+
 def test_sweep_mu_configs_default_seeds_follow_the_start():
     # quadratic and rosenbrock start every seed at one point and take no
     # batches, so a second seed would repeat the first run
@@ -920,6 +932,27 @@ def test_save_results_leaves_no_temporary_file(tmp_path):
     save_results(path, config, run_configs([config])[0])
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
     assert load_results(path)[0] == config
+
+
+def test_save_results_keeps_the_old_file_when_the_replace_fails(tmp_path, monkeypatch):
+    # readers see the old file or the new one: a failed rename leaves the
+    # old bytes and takes the written temporary file away
+    config = _quad_config(epochs=2)
+    results = run_configs([config])[0]
+    path = tmp_path / "r.json"
+    path.write_bytes(b"old")
+    tried = []
+
+    def refuse(src, dst):
+        tried.append((src.name, src.exists()))
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_results(path, config, results)
+    assert tried == [(f".r.json.{os.getpid()}.tmp", True)]
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def test_aggregate_result_files_rejects_empty():

@@ -67,6 +67,37 @@ def test_no_module_imports_a_name_it_never_reads():
     assert unused == {}
 
 
+def _private_definitions(tree):
+    # the module's `_` names and its classes' `_` methods, dunders aside
+    names = list(_module_level_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names += [node.name, *(f.name for f in node.body if isinstance(f, ast.FunctionDef))]
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def test_every_private_name_in_src_is_referenced():
+    # the dead-name rule: a `_` name or method that nothing in src/ loads is dead code
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "adafamily").glob("*.py"))
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+    dead = [
+        f"{name}: {private}"
+        for name, tree in trees.items()
+        for private in _private_definitions(tree)
+        if private not in referenced
+    ]
+    assert dead == []
+
+
 def _module_level_names(tree):
     # name -> the def or assignment that binds it at module level
     bound = {}
