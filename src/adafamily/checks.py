@@ -13,13 +13,17 @@ eps-inside-v counterparts of Adam and AdaBelief that the blend endpoints
 mu=0 and mu=0.5 must match; they intentionally do NOT equal the standard
 baselines, whose eps sits in the denominator.
 
-``run_checks`` executes the named invariant checks (the CLI ``check``
-subcommand calls it) and reports one line per check.
+``CHECKS`` is the one table of named invariant checks: each row is a name
+and a call returning (passed, detail), in the order ``run_checks`` (the
+CLI ``check`` subcommand) runs them and prints one line each.  The three
+endpoint rows call `_endpoint_check` with the mu, oracle and label the
+blend must match there.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,13 +143,6 @@ def trajectory(
 # --------------------------------------------------------------------------
 
 
-def _random_grad_streams(key: int, streams: int, steps: int, dim: int) -> list[np.ndarray]:
-    return [
-        rng.normals(rng.derive_key(key, s), steps * dim).reshape(steps, dim)
-        for s in range(streams)
-    ]
-
-
 def check_normalization_endpoints() -> tuple[bool, str]:
     ok = (
         normalization_factor(0.0) == 1.0
@@ -172,25 +169,14 @@ def _endpoint_check(mu: float, oracle: Callable, name: str) -> tuple[bool, str]:
     dim, steps = 32, 100
     theta0 = rng.normals(rng.derive_key(11, int(mu * 100)), dim)
     config = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=mu)
-    streams = _random_grad_streams(12, 5, steps, dim)
+    keys = [rng.derive_key(12, s) for s in range(5)]
+    streams = [rng.normals(key, steps * dim).reshape(steps, dim) for key in keys]
     fast = [trajectory(config, grads, theta0) for grads in streams]
     ref = [oracle(grads.tolist(), theta0.tolist()) for grads in streams]
     # bytes, not ==, which calls -0.0 and 0.0 equal
     if np.asarray(fast).tobytes() == np.asarray(ref).tobytes():
         return True, f"mu={mu} vs {name} oracle: bitwise equal"
     return False, f"mu={mu} vs {name} oracle: relative error {relative_error(fast, ref):.3e}"
-
-
-def check_endpoint_adamomentum() -> tuple[bool, str]:
-    return _endpoint_check(1.0, ref_adamomentum_run, "AdaMomentum")
-
-
-def check_endpoint_adam_eps_in_v() -> tuple[bool, str]:
-    return _endpoint_check(0.0, ref_adam_eps_in_v_run, "eps-in-v Adam")
-
-
-def check_endpoint_adabelief_eps_in_v() -> tuple[bool, str]:
-    return _endpoint_check(0.5, ref_adabelief_eps_in_v_run, "eps-in-v AdaBelief")
 
 
 def check_v_lower_bound() -> tuple[bool, str]:
@@ -259,9 +245,12 @@ def check_schedule() -> tuple[bool, str]:
 CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("normalization-endpoints", check_normalization_endpoints),
     ("normalization-symmetry", check_normalization_symmetry),
-    ("endpoint-adamomentum", check_endpoint_adamomentum),
-    ("endpoint-adam-eps-in-v", check_endpoint_adam_eps_in_v),
-    ("endpoint-adabelief-eps-in-v", check_endpoint_adabelief_eps_in_v),
+    # the blend at mu against the oracle it reduces to there
+    ("endpoint-adamomentum", partial(_endpoint_check, 1.0, ref_adamomentum_run, "AdaMomentum")),
+    ("endpoint-adam-eps-in-v",
+     partial(_endpoint_check, 0.0, ref_adam_eps_in_v_run, "eps-in-v Adam")),
+    ("endpoint-adabelief-eps-in-v",
+     partial(_endpoint_check, 0.5, ref_adabelief_eps_in_v_run, "eps-in-v AdaBelief")),
     ("v-lower-bound", check_v_lower_bound),
     ("determinism", check_determinism),
     ("state-size", check_state_size),

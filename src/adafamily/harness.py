@@ -169,6 +169,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if type(self.problem) is not str:
             raise ValueError(f"problem must be a string, got {self.problem!r}")
+        # the name is part of a results file name and a cell of the Markdown table
+        if any(ch in "/|" or ch < " " for ch in self.problem):
+            raise ValueError(f"problem {self.problem!r} holds '/', '|' or a control character")
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not self.seeds:

@@ -17,9 +17,7 @@ import pytest
 from conftest import bitwise
 
 from adafamily.checks import (
-    check_endpoint_adabelief_eps_in_v,
-    check_endpoint_adam_eps_in_v,
-    check_endpoint_adamomentum,
+    CHECKS,
     check_gradients,
     check_normalization_endpoints,
     check_normalization_symmetry,
@@ -86,11 +84,8 @@ def test_criterion_normalization_factor(acceptance_report):
 
 def test_criterion_endpoint_oracle_equivalence(acceptance_report):
     start = time.perf_counter()
-    results = [
-        check_endpoint_adamomentum(),
-        check_endpoint_adam_eps_in_v(),
-        check_endpoint_adabelief_eps_in_v(),
-    ]
+    endpoints = ["endpoint-adamomentum", "endpoint-adam-eps-in-v", "endpoint-adabelief-eps-in-v"]
+    results = [dict(CHECKS)[name]() for name in endpoints]
     elapsed = time.perf_counter() - start
     ok = all(r[0] for r in results) and elapsed < 1.0
     detail = "; ".join(r[1] for r in results) + f"; {elapsed:.2f}s (budget 1s)"

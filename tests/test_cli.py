@@ -20,6 +20,7 @@ from adafamily.data import BatchPlan
 from adafamily.harness import (
     RunConfig,
     aggregate_result_files,
+    build_problem,
     load_results,
     load_run_config_file,
     problem_names,
@@ -445,8 +446,39 @@ def test_table_refuses_a_run_cut_short(tmp_path, capsys):
     assert str(path) in err and "seed 0" in err and "not 5" in err
 
 
+@pytest.mark.parametrize("problem", ["blobs|mlp1", "blobs/mlp1", "blobs\tmlp1"])
+def test_table_refuses_a_problem_name_no_table_cell_or_file_name_holds(
+    tmp_path, capsys, problem
+):
+    # a "|" would split the problem's header cell over one separator cell
+    path, argv = _edited_input(tmp_path, "table", ("config", "problem"), problem)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: malformed results file "
+        f"(problem {problem!r} holds '/', '|' or a control character)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # sweep-mu
+
+
+def test_sweep_mu_refuses_a_problem_name_with_a_slash_before_training(
+    tmp_path, monkeypatch, capsys, temporary_problem
+):
+    # the name would turn each results file name into a path below --out
+    def train(*args):
+        raise AssertionError("trained before refusing the problem name")
+
+    temporary_problem("blobs/mlp1", lambda: build_problem("blobs-mlp1"))
+    monkeypatch.setattr(cli, "run_grid", train)
+    out = tmp_path / "out"
+    argv = ["sweep-mu", "--mus", "0.5", "--problem", "blobs/mlp1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: problem 'blobs/mlp1' holds '/', '|' or a control character\n"
+    )
+    assert not out.exists()
 
 
 def test_sweep_mu_small_grid(tmp_path, capsys):
@@ -650,6 +682,28 @@ def test_check_filter_passes(capsys):
     assert main(["check", "--filter", "normalization"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_check_prints_every_check_in_order(capsys):
+    names = [
+        "normalization-endpoints",
+        "normalization-symmetry",
+        "endpoint-adamomentum",
+        "endpoint-adam-eps-in-v",
+        "endpoint-adabelief-eps-in-v",
+        "v-lower-bound",
+        "determinism",
+        "state-size",
+        "gradients",
+        "schedule",
+    ]
+    # the filter is a substring: "endpoint" alone also picks normalization-endpoints
+    for argv, expected in [(["check"], names), (["check", "--filter", "endpoint-"], names[2:5])]:
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(expected)
+        for line, name in zip(lines, expected):
+            assert line.startswith(f"PASS {name}: "), line
 
 
 @pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import bitwise
 
+from adafamily import harness
 from adafamily.data import BatchPlan, Dataset
 from adafamily.harness import (
     DESK_BATCH_SIZE,
@@ -445,6 +446,42 @@ def test_divergent_run_flags_epoch_and_aborts(temporary_problem, tmp_path):
 def test_nan_gradient_with_finite_loss_diverges_the_same_way(temporary_problem, tmp_path):
     # only the optimizer's gradient scan can catch this one, at the next step
     _assert_aborts_in_epoch(temporary_problem, "cliff-c", True, epoch=3, tmp_path=tmp_path)
+
+
+def _stepped_rows(monkeypatch):
+    """A list that gets, for every call of the harness's `step`, the rows it
+    steps: ``params.shape[0]`` for a 2-D call, else 1.  A refused step
+    counts, so the list counts every row offered a step."""
+    rows = []
+    real = harness.step
+
+    def step(state, params, *args, **kwargs):
+        rows.append(params.shape[0] if params.ndim == 2 else 1)
+        return real(state, params, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "step", step)
+    return rows
+
+
+def test_a_run_whose_step_was_refused_is_never_stepped_again(temporary_problem, monkeypatch):
+    rows = _stepped_rows(monkeypatch)
+    _register_cliff(temporary_problem, "cliff-d", cliff=2.5e-3, finite_loss=True)
+    # alpha=1e-4 walks about 1e-3 in ten steps, short of the cliff
+    slow = OptimizerConfig(algorithm=Algorithm.ADAMW, alpha=1e-4)
+    stays = _quad_config(problem="cliff-d", epochs=10, optimizer=slow)
+    (fell,), (stayed,) = run_configs([_quad_config(problem="cliff-d", epochs=10), stays])
+    assert fell.divergence_epoch == 3 and not stayed.diverged
+    # three steps and the refused fourth, then nothing; the other run takes all ten
+    assert sum(rows) == 4 + 10
+    # refused mid-epoch, a run sits out the epoch's remaining batches too
+    rows.clear()
+    _blobs_cliff(temporary_problem, "cliff-e", nan_loss=False, nan_grad=True)
+    fast = OptimizerConfig(algorithm=Algorithm.ADAM, alpha=0.05)
+    falls = _blobs_config(problem="cliff-e", epochs=3, optimizer=fast)
+    (fell,), (stayed,) = run_configs([falls, _blobs_config(problem="cliff-e", epochs=3)])
+    assert fell.divergence_epoch == 1 and not stayed.diverged
+    refused = build_problem("cliff-e").problem.first_cliff_call
+    assert sum(rows) == refused + 1 + 3 * 15
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -1097,6 +1134,14 @@ def test_runs_of_a_problem_share_one_loss_grad_call_per_step(temporary_problem):
     assert len(set(elapsed)) == 2
     run_configs(sweep_mu_configs((0.5,), "count-wide", seeds=range(2), epochs=1))
     assert wide.heights == [1] * 5 * 2 * 15
+
+
+def test_a_sweep_steps_every_row_once_per_batch(temporary_problem, monkeypatch):
+    _counting(temporary_problem, "count-steps", hidden=16)
+    rows = _stepped_rows(monkeypatch)
+    run_configs(sweep_mu_configs(MU_GRID, "count-steps", seeds=range(5), epochs=2))
+    # 45 runs x 2 epochs x 15 batches, however the calls group the rows
+    assert sum(rows) == 45 * 2 * 15
 
 
 def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call(temporary_problem):
