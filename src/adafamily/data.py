@@ -2,11 +2,11 @@
 
 All randomness flows through :mod:`adafamily.rng`, so every dataset,
 split, and epoch shuffle is bitwise reproducible from its integer seeds
-(within the scope of ``docs/determinism.md``).  Dataset and Batch are
-plain immutable containers that check only structural consistency:
-`gen_gaussian_blobs` returns finite features with every class present,
-while `split` may legitimately return empty or class-incomplete subsets
-(a test fraction of 0 is allowed).
+(within the scope of ``docs/determinism.md``).  Labels are integers.
+Dataset and Batch are plain immutable containers that check only
+structural consistency: `gen_gaussian_blobs` returns finite features
+with every class present, while `split` may legitimately return empty
+or class-incomplete subsets (a test fraction of 0 is allowed).
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels length does not match feature rows")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):

@@ -84,45 +84,34 @@ class ProblemSetup:
             raise ValueError(f"{self.problem.kind} needs non-empty train and test splits")
 
 
-def _build_quadratic() -> ProblemSetup:
-    return ProblemSetup(
-        problem=spd_quadratic(QUADRATIC_GEN_SEED, QUADRATIC_DIM, QUADRATIC_COND)
-    )
-
-
-def _build_rosenbrock() -> ProblemSetup:
-    return ProblemSetup(problem=Rosenbrock2D())
-
-
-def _blobs_splits(spread: float) -> tuple[Dataset, Dataset]:
-    ds = gen_gaussian_blobs(
-        BLOBS_DATA_SEED, BLOBS_N_PER_CLASS, BLOBS_DIM, BLOBS_CLASSES, spread
-    )
-    return split(ds, BLOBS_SPLIT_FRACTION, seed=BLOBS_SPLIT_SEED)
-
-
-def _build_blobs_logreg() -> ProblemSetup:
-    # tight clusters: a convex warm-up task every algorithm nails quickly
-    train, test = _blobs_splits(BLOBS_SPREAD)
-    return ProblemSetup(
-        problem=LogisticRegression(BLOBS_DIM, BLOBS_CLASSES), train=train, test=test
-    )
-
-
-def _build_blobs_mlp1() -> ProblemSetup:
-    # wider clusters: nonzero irreducible error, so algorithm rows separate
-    train, test = _blobs_splits(MLP_BLOBS_SPREAD)
-    return ProblemSetup(
-        problem=MLP1(BLOBS_DIM, BLOBS_CLASSES, hidden=MLP_HIDDEN), train=train, test=test
-    )
+def _blobs_setup(spread: float, problem: Problem) -> ProblemSetup:
+    """``problem`` on the frozen blobs drawn at ``spread``, split the frozen way."""
+    blobs = gen_gaussian_blobs(BLOBS_DATA_SEED, BLOBS_N_PER_CLASS, BLOBS_DIM, BLOBS_CLASSES, spread)
+    return ProblemSetup(problem, *split(blobs, BLOBS_SPLIT_FRACTION, seed=BLOBS_SPLIT_SEED))
 
 
 _PROBLEM_BUILDERS: dict[str, Callable[[], ProblemSetup]] = {
-    "quadratic": _build_quadratic,
-    "rosenbrock": _build_rosenbrock,
-    "blobs-logreg": _build_blobs_logreg,
-    "blobs-mlp1": _build_blobs_mlp1,
+    "quadratic": lambda: ProblemSetup(
+        spd_quadratic(QUADRATIC_GEN_SEED, QUADRATIC_DIM, QUADRATIC_COND)
+    ),
+    "rosenbrock": lambda: ProblemSetup(Rosenbrock2D()),
+    # tight clusters: a convex warm-up task every algorithm nails quickly
+    "blobs-logreg": lambda: _blobs_setup(
+        BLOBS_SPREAD, LogisticRegression(BLOBS_DIM, BLOBS_CLASSES)
+    ),
+    # wider clusters: nonzero irreducible error, so algorithm rows separate
+    "blobs-mlp1": lambda: _blobs_setup(
+        MLP_BLOBS_SPREAD, MLP1(BLOBS_DIM, BLOBS_CLASSES, hidden=MLP_HIDDEN)
+    ),
 }
+
+
+def _check_problem_name(name) -> None:
+    if type(name) is not str:
+        raise ValueError(f"problem must be a string, got {name!r}")
+    # the name is part of a results file name and a cell of the Markdown table
+    if any(ch in "/|" or ch < " " for ch in name):
+        raise ValueError(f"problem {name!r} holds '/', '|' or a control character")
 
 
 def problem_names() -> list[str]:
@@ -130,7 +119,9 @@ def problem_names() -> list[str]:
 
 
 def register_problem(name: str, builder: Callable[[], ProblemSetup]) -> None:
-    """Add a problem to the registry (builders must be deterministic)."""
+    """Add a problem to the registry (builders must be deterministic) under
+    a name a `RunConfig` can hold."""
+    _check_problem_name(name)
     if name in _PROBLEM_BUILDERS:
         raise ValueError(f"problem {name!r} already registered")
     _PROBLEM_BUILDERS[name] = builder
@@ -167,11 +158,7 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        if type(self.problem) is not str:
-            raise ValueError(f"problem must be a string, got {self.problem!r}")
-        # the name is part of a results file name and a cell of the Markdown table
-        if any(ch in "/|" or ch < " " for ch in self.problem):
-            raise ValueError(f"problem {self.problem!r} holds '/', '|' or a control character")
+        _check_problem_name(self.problem)
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if not self.seeds:

@@ -240,6 +240,8 @@ class _Classifier(Problem):
 
     def _check_eval(self, params, batch):
         super()._check_eval(params, batch)
+        if batch.labels.dtype.kind not in "iu":
+            raise ValueError(f"batch labels must be integers, got dtype {batch.labels.dtype}")
         if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
             raise ValueError(f"batch labels must lie in [0, {self.num_classes})")
 

@@ -72,6 +72,8 @@ def normals(key: int, n: int) -> np.ndarray:
 
     Consumes the first 2*ceil(n/2) outputs of the stream for ``key``.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     half = (n + 1) // 2
     bits = random_u64(key, 2 * half)
     # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1)

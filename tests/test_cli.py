@@ -466,18 +466,23 @@ def test_table_refuses_a_problem_name_no_table_cell_or_file_name_holds(
 def test_sweep_mu_refuses_a_problem_name_with_a_slash_before_training(
     tmp_path, monkeypatch, capsys, temporary_problem
 ):
-    # the name would turn each results file name into a path below --out
+    # the name would turn each results file name into a path below --out, so
+    # the registry refuses it and sweep-mu never offers it as a choice
     def train(*args):
         raise AssertionError("trained before refusing the problem name")
 
-    temporary_problem("blobs/mlp1", lambda: build_problem("blobs-mlp1"))
+    before = problem_names()
+    with pytest.raises(ValueError) as refused:
+        temporary_problem("blobs/mlp1", lambda: build_problem("blobs-mlp1"))
+    assert str(refused.value) == "problem 'blobs/mlp1' holds '/', '|' or a control character"
+    assert problem_names() == before
     monkeypatch.setattr(cli, "run_grid", train)
     out = tmp_path / "out"
     argv = ["sweep-mu", "--mus", "0.5", "--problem", "blobs/mlp1", "--out", str(out)]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: problem 'blobs/mlp1' holds '/', '|' or a control character\n"
-    )
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "invalid choice: 'blobs/mlp1'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -47,6 +47,14 @@ def test_dataset_validates_labels():
         )
 
 
+@pytest.mark.parametrize("labels", [[False, True], [0.0, 1.0]], ids=["bool", "float"])
+def test_dataset_refuses_labels_that_are_not_integers(labels):
+    # numpy reads bool labels as a mask and float labels cannot index
+    labels = np.array(labels)
+    with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {labels.dtype}$"):
+        Dataset(features=np.zeros((2, 1)), labels=labels, num_classes=2)
+
+
 def test_batch_plan_validation():
     with pytest.raises(ValueError):
         BatchPlan(batch_size=0, shuffle_seed=1)

@@ -252,6 +252,18 @@ def test_register_problem_rejects_duplicate_name():
         register_problem("quadratic", lambda: None)
 
 
+@pytest.mark.parametrize("name", ["blobs/mlp1", "blobs|mlp1", "blobs\tmlp1", 5])
+def test_register_problem_refuses_a_name_no_config_can_hold(temporary_problem, name):
+    # a registered name is offered by sweep-mu, so it must be one a config can hold
+    with pytest.raises(ValueError) as config_refused:
+        _quad_config(problem=name)
+    before = problem_names()
+    with pytest.raises(ValueError) as registry_refused:
+        temporary_problem(name, lambda: build_problem("blobs-mlp1"))
+    assert str(registry_refused.value) == str(config_refused.value)
+    assert problem_names() == before
+
+
 def test_builtin_setups_have_expected_shape():
     quad = build_problem("quadratic")
     assert not quad.problem.requires_batch and quad.train is None and quad.test is None

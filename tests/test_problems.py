@@ -239,6 +239,16 @@ def test_batch_feature_width_and_label_range_checked():
         lr.loss_grad(np.zeros(lr.dim), bad_labels)
 
 
+@pytest.mark.parametrize("labels", [[False, True], [0.0, 1.0]], ids=["bool", "float"])
+def test_loss_grad_refuses_batch_labels_that_are_not_integers(labels):
+    # numpy reads bool labels as a mask and float labels cannot index
+    lr = LogisticRegression(num_features=2, num_classes=2)
+    labels = np.array(labels)
+    batch = Batch(features=np.array([[1.0, 2.0], [3.0, -1.0]]), labels=labels)
+    with pytest.raises(ValueError, match=f"^batch labels must be integers, got dtype {labels.dtype}$"):
+        lr.loss_grad(lr.init_params(0), batch)
+
+
 # -------------------------------------------------------------------------
 # batch-mean semantics
 # -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the counter-based generator."""
 
 import numpy as np
+import pytest
 
 from adafamily import rng
 
@@ -62,6 +63,13 @@ def test_normals_moments():
 def test_normals_odd_length():
     z = rng.normals(5, 7)
     assert z.shape == (7,)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -3])
+def test_normals_refuses_a_negative_count_and_names_it(n):
+    # before drawing, naming n itself, as uniforms and random_u64 refuse it
+    with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+        rng.normals(5, n)
 
 
 def test_determinism():
