@@ -6,14 +6,13 @@ Subcommands:
   table     aggregate results files into a Markdown or CSV table
   check     run the named invariant/oracle self-checks
 
-Results land in --out when given, else in $ADAFAMILY_OUT_DIR, else ./results.
+Results land in --out when given, else in ./results.
 Every failure exits nonzero with a message naming the offending path.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -34,18 +33,16 @@ from .harness import (
 )
 from .tables import FORMATS, emit_table
 
-OUT_DIR_ENV = "ADAFAMILY_OUT_DIR"
-
 
 def _out_dir(out: str | None) -> Path:
-    """The output directory: ``out``, else $ADAFAMILY_OUT_DIR, else ./results.
+    """The output directory: ``out``, else ./results.
 
     A non-directory at that path or above it is refused, since no directory
     could be made there.  Commands resolve it before anything trains and
     make the directory only when results are written, so a refused run
     leaves nothing behind.
     """
-    out_dir = Path(out) if out else Path(os.environ.get(OUT_DIR_ENV, "results"))
+    out_dir = Path(out or "results")
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():
             raise NotADirectoryError(f"{path}: not a directory")
@@ -126,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a run-config file")
     p_run.add_argument("--config", required=True, help="path to a run-config JSON")
-    p_run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./results)")
+    p_run.add_argument("--out", help="output directory (default ./results)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
@@ -148,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"rows per mini-batch (default {DESK_BATCH_SIZE}); an analytic problem takes none",
     )
-    p_sweep.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./results)")
+    p_sweep.add_argument("--out", help="output directory (default ./results)")
     p_sweep.set_defaults(func=_cmd_sweep_mu)
 
     p_table = sub.add_parser("table", help="aggregate results files into a table")
@@ -171,7 +168,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

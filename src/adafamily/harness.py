@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -438,7 +438,7 @@ def default_lineup(
 def sweep_mu_configs(
     mus: Sequence[float],
     problem: str,
-    seeds: Sequence[int] | None = None,
+    seeds: Iterable[int] | None = None,
     epochs: int = DESK_EPOCHS,
     batch_size: int | None = None,
 ) -> list[RunConfig]:
@@ -464,6 +464,7 @@ def sweep_mu_configs(
         for seed in DESK_SEEDS:
             starts.setdefault(setup.problem.init_params(seed).tobytes(), seed)
         seeds = starts.values()
+    seeds = tuple(seeds)
     plan = (
         BatchPlan(batch_size=batch_size, shuffle_seed=DESK_SHUFFLE_SEED)
         if setup.problem.requires_batch
@@ -478,7 +479,7 @@ def sweep_mu_configs(
             epochs=epochs,
             batch_plan=plan,
             schedule=schedule,
-            seeds=tuple(seeds),
+            seeds=seeds,
         )
         for opt in default_lineup(mus=mus)
     ]

@@ -43,9 +43,10 @@ class Problem:
     an (R, dim) gradient whose row r equals, byte for byte, the 1-D call on
     row r (with row r of the batch when the batch is stacked too).
 
-    `loss_grad` checks the call and evaluates a 1-D call as the one-row
-    stack, through `_loss_grad`, the one evaluation path; a subclass
-    supplies only `_loss_grad` over (R, dim) stacks and `init_params`.
+    `loss_grad` checks the call in `_check_eval`, the one check hook, which
+    the classifiers extend, and evaluates a 1-D call as the one-row stack,
+    through `_loss_grad`, the one evaluation path; a subclass supplies only
+    `_loss_grad` over (R, dim) stacks and `init_params`.
     """
 
     kind: str = "abstract"
@@ -66,26 +67,20 @@ class Problem:
     def init_params(self, seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_params(self, params: np.ndarray) -> None:
+    def _check_eval(self, params: np.ndarray, batch: Batch | None) -> None:
         if params.ndim not in (1, 2) or params.shape[-1] != self.dim:
             raise ValueError(
                 f"{self.kind} expects {self.dim} parameters, got shape {params.shape}"
             )
-
-    def _check_eval(self, params: np.ndarray, batch: Batch | None) -> None:
-        self._check_params(params)
         if self.requires_batch and batch is None:
             raise ValueError(f"{self.kind} needs a batch")
         if not self.requires_batch and batch is not None:
             raise ValueError(f"{self.kind} is analytic, a batch makes no sense here")
-        if batch is not None:
-            self._check_stack(params, batch.features)
-
-    def _check_stack(self, params: np.ndarray, features: np.ndarray) -> None:
         # a stack of batches takes one parameter row per batch
-        if features.ndim == 3 and (params.ndim != 2 or features.shape[0] != params.shape[0]):
+        stack = batch.features.shape[:-2] if batch is not None else ()
+        if stack and (params.ndim != 2 or stack[0] != params.shape[0]):
             raise ValueError(
-                f"a stack of {features.shape[0]} batches needs as many "
+                f"a stack of {stack[0]} batches needs as many "
                 f"parameter rows, got shape {params.shape}"
             )
 
@@ -225,21 +220,13 @@ class _Classifier(Problem):
         self._layout = body + ((k, h or p), (k,))
         self.dim = sum(math.prod(shape) for shape in self._layout)
 
-    def _check_stack(self, params, features):
-        # the shapes a Batch holds, so predict refuses what loss_grad never gets
-        if features.ndim not in (2, 3):
-            raise ValueError(
-                f"features must be 2-D, or 3-D for a stack, got shape {features.shape}"
-            )
-        super()._check_stack(params, features)
-        if features.shape[-1] != self.num_features:
-            raise ValueError(
-                f"batch has {features.shape[-1]} features, "
-                f"problem expects {self.num_features}"
-            )
-
     def _check_eval(self, params, batch):
         super()._check_eval(params, batch)
+        if batch.features.shape[-1] != self.num_features:
+            raise ValueError(
+                f"batch has {batch.features.shape[-1]} features, "
+                f"problem expects {self.num_features}"
+            )
         if batch.labels.dtype.kind not in "iu":
             raise ValueError(f"batch labels must be integers, got dtype {batch.labels.dtype}")
         if batch.labels.min() < 0 or batch.labels.max() >= self.num_classes:
@@ -292,9 +279,9 @@ class _Classifier(Problem):
         return losses, np.concatenate([g.reshape(r, -1) for g in blocks], axis=1)
 
     def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """Argmax labels per parameter row, checked as `loss_grad` checks."""
-        self._check_params(params)
-        self._check_stack(params, features)
+        """Argmax labels per parameter row, checked as `loss_grad` checks a
+        `Batch` of these features, each with a placeholder label."""
+        self._check_eval(params, Batch(features, np.zeros(features.shape[:-1], np.int64)))
         logits = self._forward(params.reshape(-1, self.dim), features)[-1]
         labels = np.argmax(logits, axis=-1)
         return labels[0] if params.ndim == 1 else labels
@@ -405,27 +392,19 @@ def default_problems_for_gradcheck() -> Iterator[
     Used by the gradient self-check: every analytic gradient is compared
     to the central-difference oracle at 20 random evaluation points.
     """
-    quad = spd_quadratic(501, 6, 50.0)
-    yield quad, [
-        (rng.normals(rng.derive_key(502, i), quad.dim), None) for i in range(20)
-    ]
-    rosen = Rosenbrock2D()
-    yield rosen, [
-        (rng.normals(rng.derive_key(503, i), 2), None) for i in range(20)
-    ]
-    logreg = LogisticRegression(num_features=5, num_classes=3)
-    yield logreg, [
-        (
-            logreg.init_params(600 + i),
-            _random_batch(rng.derive_key(504, i), 8, 5, 3),
-        )
-        for i in range(20)
-    ]
-    mlp = MLP1(num_features=6, num_classes=3, hidden=8)
-    yield mlp, [
-        (
-            mlp.init_params(700 + i),
-            _random_batch(rng.derive_key(505, i), 8, 6, 3),
-        )
-        for i in range(20)
-    ]
+    rows = (  # (problem, key of its draws, first init seed of a classifier)
+        (spd_quadratic(501, 6, 50.0), 502, None),
+        (Rosenbrock2D(), 503, None),
+        (LogisticRegression(num_features=5, num_classes=3), 504, 600),
+        (MLP1(num_features=6, num_classes=3, hidden=8), 505, 700),
+    )
+    for problem, key, seed in rows:
+        if seed is None:
+            draws = [(rng.normals(rng.derive_key(key, i), problem.dim), None) for i in range(20)]
+        else:
+            p, k = problem.num_features, problem.num_classes
+            draws = [
+                (problem.init_params(seed + i), _random_batch(rng.derive_key(key, i), 8, p, k))
+                for i in range(20)
+            ]
+        yield problem, draws

@@ -15,7 +15,7 @@ from conftest import bitwise
 
 from adafamily import checks, cli
 from adafamily.checks import CHECKS
-from adafamily.cli import OUT_DIR_ENV, main
+from adafamily.cli import main
 from adafamily.data import BatchPlan
 from adafamily.harness import (
     RunConfig,
@@ -214,14 +214,18 @@ def test_run_fixture_config(tmp_path):
     assert all(not r.diverged for r in results)
 
 
-def test_out_dir_env_var_is_honored(tmp_path, monkeypatch, capsys):
+def test_run_without_out_writes_to_results_and_reads_no_environment(
+    tmp_path, monkeypatch, capsys
+):
     config_path = tmp_path / "config.json"
     save_run_config_file(config_path, _small_config())
     env_dir = tmp_path / "env-results"
-    monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
+    monkeypatch.setenv("ADAFAMILY_OUT_DIR", str(env_dir))
+    monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0
     capsys.readouterr()
-    assert env_dir.exists() and list(env_dir.glob("*.json"))
+    assert list((tmp_path / "results").glob("*.json"))
+    assert not env_dir.exists()
 
 
 def test_config_file_roundtrip(tmp_path):

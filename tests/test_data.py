@@ -55,6 +55,13 @@ def test_dataset_refuses_labels_that_are_not_integers(labels):
         Dataset(features=np.zeros((2, 1)), labels=labels, num_classes=2)
 
 
+def test_dataset_refuses_features_that_are_not_2d_and_labels_of_another_length():
+    with pytest.raises(ValueError, match=r"^features must be 2-D, got shape \(3,\)$"):
+        Dataset(features=np.zeros(3), labels=np.zeros(3, dtype=np.int64), num_classes=2)
+    with pytest.raises(ValueError, match="^labels length does not match feature rows$"):
+        Dataset(features=np.zeros((3, 1)), labels=np.zeros(2, dtype=np.int64), num_classes=2)
+
+
 def test_batch_plan_validation():
     with pytest.raises(ValueError):
         BatchPlan(batch_size=0, shuffle_seed=1)
@@ -260,6 +267,12 @@ def test_batches_validation():
         list(batches(ds, BatchPlan(batch_size=5, shuffle_seed=0), 0))
     with pytest.raises(ValueError):
         list(batches(ds, BatchPlan(batch_size=2, shuffle_seed=0), -1))
+
+
+def test_batches_refuse_the_empty_test_half_of_a_zero_fraction_split():
+    _, test = split(_tiny_dataset(), 0.0, seed=1)
+    with pytest.raises(ValueError, match="^cannot batch an empty dataset$"):
+        next(batches(test, BatchPlan(batch_size=1, shuffle_seed=0), 0))
 
 
 def test_stacked_batches_rows_equal_single_plan_batches(monkeypatch):

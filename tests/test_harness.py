@@ -616,6 +616,13 @@ def test_sweep_mu_configs_default_seeds_follow_the_start():
     assert all(c.seeds == (0, 1, 2) for c in given)
 
 
+def test_sweep_mu_configs_read_a_one_shot_seed_iterable_once():
+    # every lineup row holds every seed, not only the first row
+    configs = sweep_mu_configs([0.5], "blobs-logreg", seeds=(s for s in range(2)), epochs=2)
+    assert len(configs) == 5
+    assert all(c.seeds == (0, 1) for c in configs)
+
+
 class _SeededRosenbrock(Rosenbrock2D):
     """Rosenbrock whose start moves with ``seed % period``."""
 

@@ -76,6 +76,11 @@ def test_normalization_factor_rejects_out_of_range():
         normalization_factor(1.01)
 
 
+def test_init_state_refuses_an_empty_buffer():
+    with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
+        init_state(0)
+
+
 # -------------------------------------------------------------------------
 # single hand-unrolled steps
 # -------------------------------------------------------------------------

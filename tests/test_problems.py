@@ -66,6 +66,12 @@ def test_quadratic_validation():
         Quadratic(np.eye(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("dim,cond", [(0, 10.0), (4, 0.5)], ids=["dim-0", "cond-0.5"])
+def test_spd_quadratic_refuses_an_empty_or_inverted_spectrum(dim, cond):
+    with pytest.raises(ValueError, match="^need dim >= 1 and cond >= 1$"):
+        spd_quadratic(1, dim, cond)
+
+
 def test_quadratic_starts_at_origin():
     q = spd_quadratic(1, 4, 10.0)
     assert q.init_params(0).tolist() == [0.0] * 4
@@ -205,6 +211,17 @@ def test_init_params_seeded_and_scaled():
     assert np.max(np.abs(p[:n1])) <= 1.0 / 4.0  # fan_in 16
     assert np.max(np.abs(p[n1:])) <= 1.0 / 2.0  # fan_in 4
     assert np.max(np.abs(p[n1:])) > 1.0 / 4.0  # actually uses the larger scale
+
+
+@pytest.mark.parametrize("features,classes", [(0, 3), (3, 1)], ids=["no-features", "one-class"])
+def test_classifier_refuses_too_few_features_or_classes(features, classes):
+    with pytest.raises(ValueError, match="^need num_features >= 1 and num_classes >= 2$"):
+        LogisticRegression(features, classes)
+
+
+def test_mlp_refuses_an_empty_hidden_layer():
+    with pytest.raises(ValueError, match="^need hidden >= 1$"):
+        MLP1(8, 3, hidden=0)
 
 
 # -------------------------------------------------------------------------
@@ -566,6 +583,13 @@ def test_predict_refuses_features_no_batch_holds(problem, shape):
         Batch(features, np.zeros(shape[:-1], dtype=np.int64))
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         problem.predict(np.zeros(problem.dim), features)
+
+
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["1-D", "stacked"])
+def test_predict_refuses_zero_examples_as_a_batch_does(rows):
+    mlp = MLP1(8, 3, hidden=16)
+    with pytest.raises(ValueError, match="^a batch needs at least one example$"):
+        mlp.predict(np.zeros(rows + (mlp.dim,)), np.zeros((0, 8)))
 
 
 def test_stacked_batch_needs_one_parameter_row_per_batch():

@@ -72,6 +72,12 @@ def test_normals_refuses_a_negative_count_and_names_it(n):
         rng.normals(5, n)
 
 
+@pytest.mark.parametrize("draw", [rng.random_u64, rng.uniforms], ids=["random_u64", "uniforms"])
+def test_raw_draws_refuse_a_negative_count(draw):
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        draw(5, -1)
+
+
 def test_determinism():
     assert np.array_equal(rng.random_u64(5, 100), rng.random_u64(5, 100))
     assert np.array_equal(rng.uniforms(5, 100), rng.uniforms(5, 100))
