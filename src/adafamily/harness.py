@@ -110,8 +110,9 @@ def _check_problem_name(name) -> None:
     if type(name) is not str:
         raise ValueError(f"problem must be a string, got {name!r}")
     # the name is part of a results file name and a cell of the Markdown table
-    if any(ch in "/|" or ch < " " for ch in name):
-        raise ValueError(f"problem {name!r} holds '/', '|' or a control character")
+    if not name or any(ch in "/|" or ch < " " for ch in name):
+        what = "holds '/', '|' or a control character" if name else "is empty"
+        raise ValueError(f"problem {name!r} {what}")
 
 
 def problem_names() -> list[str]:
@@ -161,6 +162,9 @@ class RunConfig:
         _check_problem_name(self.problem)
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        # tuples from here on, so a one-shot iterable is read once
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "schedule", tuple(tuple(pair) for pair in self.schedule))
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
@@ -177,18 +181,16 @@ class RunConfig:
         if any(m2 <= m1 for m1, m2 in zip(milestones, milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing: {milestones}")
         if any(m < 0 or m >= self.epochs for m in milestones):
-            raise ValueError(
-                f"milestones must lie in [0, epochs={self.epochs}): {milestones}"
-            )
+            raise ValueError(f"milestones must lie in [0, epochs={self.epochs}): {milestones}")
         # the scale changes only at milestones, each in [0, epochs): the running
         # product there meets a bad factor, underflow or overflow first
         scale = 1.0
         for epoch, factor in self.schedule:
             scale *= factor
             if not 0.0 < scale < math.inf:
-                raise ValueError(
-                    f"lr scale at epoch {epoch} must be finite and > 0, got {scale}"
-                )
+                raise ValueError(f"lr scale at epoch {epoch} must be finite and > 0, got {scale}")
+        # the form its file writes: every factor a float
+        object.__setattr__(self, "schedule", tuple((m, float(f)) for m, f in self.schedule))
 
     @property
     def metric(self) -> str:
@@ -212,8 +214,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         """Inverse of to_dict: each key but a derived one is a field.  A
         stored metric (absent reads as 'final_loss') must be the derived one,
-        a stored drop_last must be false, and an int schedule factor reads as
-        a float."""
+        and a stored drop_last must be false."""
         fields = _fields("a run config", d)
         stored = fields.pop("metric", "final_loss")
         fields["optimizer"] = OptimizerConfig.from_dict(_fields("optimizer", fields["optimizer"]))
@@ -227,12 +228,6 @@ class RunConfig:
                     "its short last batch"
                 )
             fields["batch_plan"] = BatchPlan(**plan)
-        if "schedule" in fields:
-            fields["schedule"] = tuple(
-                (m, float(f) if type(f) is int else f) for m, f in fields["schedule"]
-            )
-        if "seeds" in fields:
-            fields["seeds"] = tuple(fields["seeds"])
         config = cls(**fields)
         if stored != config.metric:
             given = f"metric {stored!r}" if "metric" in d else "no metric (read as 'final_loss')"
@@ -562,7 +557,7 @@ def load_run_config_file(path: str | Path) -> RunConfig:
         _refuse_unknown_keys(payload, "run")
         config = RunConfig.from_dict(payload["run"])
         _check_runnable(config, build_problem(config.problem))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed run config ({exc})") from None
     return config
 
@@ -658,7 +653,7 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
         config = RunConfig.from_dict(payload["config"])
         results = [RunResult.from_dict(r) for r in payload["results"]]
         stored = [(r.get("diverged", False), r["final_metric"]) for r in payload["results"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
     for r, (diverged, final) in zip(results, stored):
         contradiction = _contradiction(r, diverged, final, config.epochs)

@@ -91,8 +91,10 @@ class OptimizerConfig:
         if not isinstance(self.algorithm, Algorithm):
             raise ValueError(f"algorithm must be an Algorithm, got {self.algorithm!r}")
         for name in ("mu", "alpha", "beta1", "beta2", "epsilon", "weight_decay"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         # -0.0 passes the range test but would label a row apart from 0.0
         if not 0.0 <= self.mu <= 1.0 or math.copysign(1.0, self.mu) < 0.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
@@ -122,7 +124,7 @@ class OptimizerConfig:
     def label(self) -> str:
         """Row label for result tables, e.g. 'AdamW' or 'AdaFamily(0.25)'."""
         if self.algorithm is Algorithm.ADAFAMILY:
-            return f"AdaFamily({float(self.mu)})"
+            return f"AdaFamily({self.mu})"
         return self.algorithm.value
 
     def to_dict(self) -> dict:

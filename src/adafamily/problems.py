@@ -97,7 +97,10 @@ class Quadratic(Problem):
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         if rhs.shape != (matrix.shape[0],):
             raise ValueError("rhs length must match matrix")
-        if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12):
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must be finite")
+        # relative to the largest entry, so scaling by 2^k keeps the verdict
+        if not abs(matrix - matrix.T).max(initial=0.0) <= 1e-12 * abs(matrix).max(initial=0.0):
             raise ValueError("matrix must be symmetric")
         # positive definiteness via Cholesky; raises LinAlgError otherwise
         np.linalg.cholesky(matrix)

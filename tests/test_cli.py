@@ -92,6 +92,7 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
         ("batch_plan", "batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
         (None, "epochs", True, "epochs must be an integer >= 1, got True"),
         ("optimizer", "mu", True, "mu must be a number, got True"),
+        ("optimizer", "alpha", 10**400, "int too large to convert to float"),
         (None, "optimizer", [["algorithm", "adam"]], "optimizer must be a JSON object"),
         (None, "problem", "nope", "unknown problem 'nope'"),
         (None, "problem", "quadratic", "problem quadratic is analytic and takes no batch_plan"),
@@ -100,6 +101,7 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
         "batch_size-2.5",
         "epochs-true",
         "mu-true",
+        "alpha-huge-int",
         "optimizer-pairs",
         "problem-unknown",
         "problem-analytic",

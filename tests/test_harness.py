@@ -36,7 +36,7 @@ from adafamily.harness import (
     sweep_mu_configs,
 )
 from adafamily.optim import Algorithm, OptimizerConfig
-from adafamily.problems import MLP1, Problem, Rosenbrock2D
+from adafamily.problems import MLP1, Problem, Quadratic, Rosenbrock2D
 from adafamily.tables import emit_table
 
 
@@ -228,6 +228,47 @@ def test_run_config_analytic_roundtrip_keeps_none_plan():
     assert RunConfig.from_dict(config.to_dict()).batch_plan is None
 
 
+def _family(**hyper):
+    return dict(optimizer=OptimizerConfig(algorithm=Algorithm.ADAFAMILY, **hyper))
+
+
+# ways code may build a config; each builds fresh, so a generator is unread
+_CONSTRUCTION_FORMS = {
+    "seeds-list": lambda: dict(seeds=[0, 1]),
+    "seeds-range": lambda: dict(seeds=range(3)),
+    "seeds-generator": lambda: dict(seeds=(s for s in (2, 5))),
+    "seeds-tuple": lambda: dict(seeds=(0, 1)),
+    "schedule-lists-int-factor": lambda: dict(schedule=[[1, 1], [2, 0.5]]),
+    "mu-int": lambda: _family(mu=1),
+    "mu-float64": lambda: _family(mu=np.float64(0.25)),
+    "alpha-int": lambda: _family(alpha=1),
+    "alpha-float64": lambda: _family(alpha=np.float64(1e-3)),
+    "weight_decay-int": lambda: _family(weight_decay=0),
+    "weight_decay-float64": lambda: _family(weight_decay=np.float64(1e-4)),
+}
+
+
+@pytest.mark.parametrize("form", list(_CONSTRUCTION_FORMS))
+def test_a_config_built_in_any_form_is_the_config_its_file_decodes_to(form):
+    config = _quad_config(**_CONSTRUCTION_FORMS[form]())
+    hash(config)
+    text = json.dumps(config.to_dict(), allow_nan=False)
+    decoded = RunConfig.from_dict(json.loads(text))
+    assert decoded == config and bitwise(decoded) == bitwise(config)
+    # the config holds its file's form from construction
+    assert type(config.seeds) is tuple and config.seeds
+    assert all(type(m) is int and type(f) is float for m, f in config.schedule)
+    assert type(config.schedule) is tuple and all(type(pair) is tuple for pair in config.schedule)
+    assert all(type(v) is float for k, v in vars(config.optimizer).items() if k != "algorithm")
+
+
+def test_a_config_refuses_a_number_it_cannot_write_at_construction():
+    with pytest.raises(ValueError, match=r"^alpha must be a number, got "):
+        OptimizerConfig(algorithm=Algorithm.ADAM, alpha=np.float32(1e-3))
+    with pytest.raises(ValueError, match=r"^seeds must be integers in \[0, 2\*\*64\), got "):
+        _quad_config(seeds=np.arange(3))
+
+
 # ---------------------------------------------------------------------------
 # problem registry
 
@@ -252,7 +293,7 @@ def test_register_problem_rejects_duplicate_name():
         register_problem("quadratic", lambda: None)
 
 
-@pytest.mark.parametrize("name", ["blobs/mlp1", "blobs|mlp1", "blobs\tmlp1", 5])
+@pytest.mark.parametrize("name", ["blobs/mlp1", "blobs|mlp1", "blobs\tmlp1", 5, ""])
 def test_register_problem_refuses_a_name_no_config_can_hold(temporary_problem, name):
     # a registered name is offered by sweep-mu, so it must be one a config can hold
     with pytest.raises(ValueError) as config_refused:
@@ -262,6 +303,13 @@ def test_register_problem_refuses_a_name_no_config_can_hold(temporary_problem, n
         temporary_problem(name, lambda: build_problem("blobs-mlp1"))
     assert str(registry_refused.value) == str(config_refused.value)
     assert problem_names() == before
+
+
+def test_run_config_refuses_an_empty_problem_name():
+    # an empty name would write results files named '--adam.json', and a
+    # table with an empty column header
+    with pytest.raises(ValueError, match=r"^problem '' is empty$"):
+        RunConfig("", OptimizerConfig(algorithm=Algorithm.ADAM), epochs=1)
 
 
 def test_builtin_setups_have_expected_shape():
@@ -1183,3 +1231,51 @@ def test_run_grid_rejects_a_bad_grid_before_any_loss_grad_call(temporary_problem
     assert counting.heights == []
     run_grid([whole])
     assert counting.heights == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# a power-of-two scale symmetry of harness, problem and step together
+
+# the power of 2^k by which a row's eps scales with a 2^k-scaled gradient:
+# eps in the denominator scales as sqrt(v), eps inside v as v itself
+_EPS_POWER = {
+    Algorithm.ADAM: 1,
+    Algorithm.ADAMW: 1,
+    Algorithm.ADAMOMENTUM: 2,
+    Algorithm.ADAFAMILY: 2,
+}
+
+
+def _scaled(optimizer, k, eps_power):
+    """``optimizer`` for a gradient scaled by 2^k: eps x 2^(k*eps_power), and
+    Adam's coupled decay, which adds to the gradient, x 2^k."""
+    decay = optimizer.weight_decay * (2.0**k if optimizer.algorithm is Algorithm.ADAM else 1.0)
+    return dataclasses.replace(
+        optimizer, epsilon=optimizer.epsilon * 2.0 ** (k * eps_power), weight_decay=decay
+    )
+
+
+@pytest.mark.parametrize("k", [-9, 12])
+def test_a_2k_scaled_quadratic_trains_every_row_but_adabelief_to_2k_times_the_loss(
+    temporary_problem, k
+):
+    # scaling by a power of two commutes with every correctly rounded
+    # operation and with any summation order, so this holds on every host
+    base = build_problem("quadratic").problem
+    name = f"quadratic-scaled{k}"
+    temporary_problem(
+        name, lambda: ProblemSetup(Quadratic(base.matrix * 2.0**k, base.rhs * 2.0**k))
+    )
+    lineup = default_lineup(weight_decay=1e-4)
+    protocol = dict(epochs=400, schedule=((100, 0.5),))
+    plain = run_configs([RunConfig("quadratic", opt, **protocol) for opt in lineup])
+    for opt, [run] in zip(lineup, plain):
+        powers = [_EPS_POWER[opt.algorithm]] if opt.algorithm in _EPS_POWER else [1, 2]
+        scaled = [RunConfig(name, _scaled(opt, k, p), **protocol) for p in powers]
+        expected = bitwise([loss * 2.0**k for loss in run.train_loss])
+        got = [bitwise(r.train_loss) for [r] in run_configs(scaled)]
+        if opt.algorithm is Algorithm.ADABELIEF:
+            # its eps sits both inside v and in the denominator
+            assert expected not in got, opt.label
+        else:
+            assert got == [expected], opt.label

@@ -66,6 +66,25 @@ def test_quadratic_validation():
         Quadratic(np.eye(2), np.zeros(3))
 
 
+def test_quadratic_symmetry_check_is_relative_to_the_matrix_scale():
+    # every entry is below 1e-12, yet A[0, 1] = 9e-13 against A[1, 0] = 0:
+    # the analytic gradient A theta - b would not be the objective's
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        Quadratic(np.array([[1e-13, 9e-13], [0.0, 1e-13]]), np.zeros(2))
+    # one ulp off symmetric is accepted at every power-of-two scale
+    matrix = build_problem("quadratic").problem.matrix.copy()
+    matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
+    for k in (-40, 0, 40):
+        assert Quadratic(matrix * 2.0**k, np.zeros(len(matrix))).dim == len(matrix)
+
+
+def test_quadratic_refuses_a_non_finite_matrix():
+    # a relative tolerance would let an inf entry pass any asymmetry
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            Quadratic(np.array([[bad, 1.0], [100.0, 1.0]]), np.zeros(2))
+
+
 @pytest.mark.parametrize("dim,cond", [(0, 10.0), (4, 0.5)], ids=["dim-0", "cond-0.5"])
 def test_spd_quadratic_refuses_an_empty_or_inverted_spectrum(dim, cond):
     with pytest.raises(ValueError, match="^need dim >= 1 and cond >= 1$"):
