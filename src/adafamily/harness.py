@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -175,7 +176,8 @@ class RunConfig:
             if s in seen:
                 raise ValueError(f"seed {s} repeats in seeds {list(self.seeds)}")
             seen.add(s)
-        if any(type(m) is not int or type(f) not in (int, float) for m, f in self.schedule):
+        if any(type(m) is not int or not isinstance(f, (int, float)) or isinstance(f, bool)
+               for m, f in self.schedule):
             raise ValueError(f"schedule takes [integer milestone, number factor]: {self.schedule}")
         milestones = [m for m, _ in self.schedule]
         if any(m2 <= m1 for m1, m2 in zip(milestones, milestones[1:])):
@@ -261,13 +263,17 @@ class RunResult:
         return {**vars(self), "final_metric": self.final_metric, "diverged": self.diverged}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunResult":
-        """Inverse of to_dict, but for the derived diverged and final_metric,
-        which `load_results` checks."""
+    def from_dict(cls, d: dict, epochs: int) -> "RunResult":
+        """Inverse of to_dict: each key but a derived one is a field.  The
+        stored diverged (absent reads as false) and final_metric must be the
+        derived ones, and the run must fit its config's ``epochs``."""
         fields = _fields("a results entry", d)
-        fields.pop("diverged", None)
-        fields.pop("final_metric", None)
-        return cls(**fields)
+        diverged = fields.pop("diverged", False)
+        final = fields.pop("final_metric")
+        run = cls(**fields)
+        if contradiction := _contradiction(run, diverged, final, epochs):
+            raise ValueError(f"seed {run.seed!r}: {contradiction}")
+        return run
 
 
 def lr_scale_sequence(
@@ -642,33 +648,24 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
-    """Read a results file; its runs must be exactly its config's seeds.
-
-    Each run must agree with itself and with the config's epochs, by the
-    load rules of `docs/schemas.md`.
-    """
+    """Read a results file; its runs must be exactly its config's seeds, and
+    each must pass the load rules of `RunResult.from_dict` (`docs/schemas.md`)."""
     payload = _read_json_file(path, RESULTS_VERSION)
     try:
         _refuse_unknown_keys(payload, "config", "results")
         config = RunConfig.from_dict(payload["config"])
-        results = [RunResult.from_dict(r) for r in payload["results"]]
-        stored = [(r.get("diverged", False), r["final_metric"]) for r in payload["results"]]
+        results = [RunResult.from_dict(r, config.epochs) for r in payload["results"]]
+        seeds = sorted(r.seed for r in results)
+        if seeds != sorted(config.seeds):
+            raise ValueError(f"result seeds {seeds} are not the config's seeds {[*config.seeds]}")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
-    for r, (diverged, final) in zip(results, stored):
-        contradiction = _contradiction(r, diverged, final, config.epochs)
-        if contradiction:
-            raise ValueError(f"{path}: seed {r.seed!r}: {contradiction}")
-    seeds = sorted(r.seed for r in results)
-    if seeds != sorted(config.seeds):
-        raise ValueError(
-            f"{path}: result seeds {seeds} are not the config's seeds {list(config.seeds)}"
-        )
     return config, results
 
 
 def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # compared, not converted: math.isfinite raises on an int past the float range
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _contradiction(r: RunResult, diverged, final, epochs: int) -> str | None:

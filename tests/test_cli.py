@@ -437,7 +437,21 @@ def test_table_refuses_a_run_seed_that_is_no_seed(tmp_path, capsys, seed):
     path.write_text(json.dumps(payload))
     assert main(["table", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: seed {seed!r}: ") and "[0, 2**64)" in err
+    assert err.startswith(f"error: {path}: malformed results file (seed {seed!r}: ")
+    assert "[0, 2**64)" in err
+
+
+@pytest.mark.parametrize(
+    "keys, rule",
+    [(("elapsed_seconds",), "elapsed_seconds"), (("train_loss", 0), "only finite numbers")],
+    ids=["elapsed_seconds", "train_loss"],
+)
+def test_table_refuses_an_integer_too_large_for_a_float(tmp_path, capsys, keys, rule):
+    # math.isfinite raises OverflowError on such an int, so the rule compares it
+    path, argv = _edited_input(tmp_path, "table", ("results", 0, *keys), 10**400)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed results file (seed 0: ") and rule in err
 
 
 def test_table_refuses_a_run_cut_short(tmp_path, capsys):

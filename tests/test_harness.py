@@ -8,6 +8,9 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +242,7 @@ _CONSTRUCTION_FORMS = {
     "seeds-generator": lambda: dict(seeds=(s for s in (2, 5))),
     "seeds-tuple": lambda: dict(seeds=(0, 1)),
     "schedule-lists-int-factor": lambda: dict(schedule=[[1, 1], [2, 0.5]]),
+    "schedule-float64-factor": lambda: dict(schedule=((1, np.float64(0.5)),)),
     "mu-int": lambda: _family(mu=1),
     "mu-float64": lambda: _family(mu=np.float64(0.25)),
     "alpha-int": lambda: _family(alpha=1),
@@ -829,6 +833,10 @@ def test_load_results_rejects_missing_fields(tmp_path):
         load_results(path)
 
 
+# what load_results' refusal of cell.json reads before the rule it breaks
+_MALFORMED = r"cell.json: malformed results file \("
+
+
 @pytest.mark.parametrize(
     "diverged, eval_metric, final_metric",
     [
@@ -853,7 +861,7 @@ def test_load_results_refuses_inconsistent_final_metric(
         diverged=diverged, eval_metric=eval_metric, final_metric=final_metric
     )
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=r"cell.json: seed 1: final_metric"):
+    with pytest.raises(ValueError, match=_MALFORMED + r"seed 1: final_metric"):
         load_results(path)
 
 
@@ -916,7 +924,8 @@ def test_load_results_refuses_a_diverged_flag_that_is_no_bool(tmp_path, diverged
     payload = json.loads(path.read_text())
     payload["results"][1]["diverged"] = diverged
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=rf"cell.json: seed 1: diverged {diverged!r} is not a bool"):
+    refused = _MALFORMED + rf"seed 1: diverged {diverged!r} is not a bool"
+    with pytest.raises(ValueError, match=refused):
         load_results(path)
 
 
@@ -929,7 +938,7 @@ def test_load_results_refuses_runs_that_contradict_the_config(tmp_path, case):
     payload = json.loads(path.read_text())
     payload["results"][1].update(edit(payload["results"][1]))
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=rf"cell.json: seed 1: .*{message}"):
+    with pytest.raises(ValueError, match=_MALFORMED + rf"seed 1: .*{message}"):
         load_results(path)
 
 
@@ -942,7 +951,7 @@ def test_load_results_refuses_a_trillion_epochs_on_the_lists_at_once(tmp_path):
     payload["config"]["epochs"] = 10**12
     path.write_text(json.dumps(payload))
     with _fails_after(2.0):
-        with pytest.raises(ValueError, match=r"hold 2 and 2 epochs, not 1000000000000$"):
+        with pytest.raises(ValueError, match=r"hold 2 and 2 epochs, not 1000000000000\)$"):
             load_results(path)
 
 
@@ -961,7 +970,7 @@ def test_load_results_rejects_seeds_other_than_the_configs(tmp_path):
     config = _quad_config(epochs=1, seeds=(0, 1))
     path = tmp_path / "cell.json"
     save_results(path, config, run_configs([config])[0][:1])
-    with pytest.raises(ValueError, match=r"cell.json: result seeds \[0\] are not the config's"):
+    with pytest.raises(ValueError, match=_MALFORMED + r"result seeds \[0\] are not the config's"):
         load_results(path)
     save_results(path, dataclasses.replace(config, seeds=(0, 2)), run_configs([config])[0])
     with pytest.raises(ValueError, match=r"seeds \[0, 1\] are not the config's seeds \[0, 2\]"):
@@ -1072,7 +1081,7 @@ def test_run_result_dict_roundtrip():
         elapsed_seconds=0.25,
         divergence_epoch=None,
     )
-    assert RunResult.from_dict(result.to_dict()) == result
+    assert RunResult.from_dict(result.to_dict(), epochs=2) == result
 
 
 # ---------------------------------------------------------------------------
@@ -1279,3 +1288,22 @@ def test_a_2k_scaled_quadratic_trains_every_row_but_adabelief_to_2k_times_the_lo
             assert expected not in got, opt.label
         else:
             assert got == [expected], opt.label
+
+
+@pytest.mark.parametrize(
+    "setting", ["NPY_DISABLE_CPU_FEATURES=X86_V4", "OPENBLAS_CORETYPE=Haswell"]
+)
+def test_a_2k_scaled_quadratic_trains_alike_under_emulated_kernels(setting):
+    # the symmetry holds on any kernel, so it must hold on these too
+    name, value = setting.split("=")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), **{name: value})
+    test = (
+        "tests/test_harness.py::"
+        "test_a_2k_scaled_quadratic_trains_every_row_but_adabelief_to_2k_times_the_loss"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and "\n2 passed in " in proc.stdout, proc.stdout + proc.stderr
