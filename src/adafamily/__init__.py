@@ -21,7 +21,6 @@ from .harness import (
 )
 from .optim import (
     Algorithm,
-    BufferMismatchError,
     NonFiniteGradientError,
     OptimizerConfig,
     OptimizerState,
@@ -45,7 +44,6 @@ __all__ = [
     "Algorithm",
     "Batch",
     "BatchPlan",
-    "BufferMismatchError",
     "Dataset",
     "LogisticRegression",
     "MLP1",

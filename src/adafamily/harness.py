@@ -164,8 +164,10 @@ class RunConfig:
         if type(self.epochs) is not int or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         # tuples from here on, so a one-shot iterable is read once
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "schedule", tuple(tuple(pair) for pair in self.schedule))
+        try:
+            object.__setattr__(self, "seeds", tuple(self.seeds))
+        except TypeError:
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}") from None
         if not self.seeds:
             raise ValueError("need at least one seed")
         for s in self.seeds:
@@ -176,9 +178,15 @@ class RunConfig:
             if s in seen:
                 raise ValueError(f"seed {s} repeats in seeds {list(self.seeds)}")
             seen.add(s)
-        if any(type(m) is not int or not isinstance(f, (int, float)) or isinstance(f, bool)
-               for m, f in self.schedule):
-            raise ValueError(f"schedule takes [integer milestone, number factor]: {self.schedule}")
+        try:
+            object.__setattr__(self, "schedule", tuple((m, f) for m, f in self.schedule))
+            if any(type(m) is not int or not isinstance(f, (int, float)) or isinstance(f, bool)
+                   for m, f in self.schedule):
+                raise TypeError
+        except (TypeError, ValueError):  # ValueError: a pair of the wrong length
+            raise ValueError(
+                f"schedule takes [integer milestone, number factor]: {self.schedule}"
+            ) from None
         milestones = [m for m, _ in self.schedule]
         if any(m2 <= m1 for m1, m2 in zip(milestones, milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing: {milestones}")
@@ -188,7 +196,12 @@ class RunConfig:
         # product there meets a bad factor, underflow or overflow first
         scale = 1.0
         for epoch, factor in self.schedule:
-            scale *= factor
+            try:
+                scale *= factor
+            except OverflowError:
+                raise ValueError(
+                    f"schedule factor at epoch {epoch} is an integer past the float range"
+                ) from None
             if not 0.0 < scale < math.inf:
                 raise ValueError(f"lr scale at epoch {epoch} must be finite and > 0, got {scale}")
         # the form its file writes: every factor a float
@@ -319,7 +332,8 @@ _STACK_PARAMS = 8192
 def _train_group(
     setup: ProblemSetup, members: Sequence[tuple[RunConfig, int]]
 ) -> list[RunResult]:
-    """Train (config, seed) runs of one problem in lockstep.
+    """Train (config, seed) runs of one protocol (problem, batch size, epochs
+    and schedule) in lockstep; the rows differ only in optimizer and seed.
 
     Every step evaluates the whole stack in one `loss_grad` call and then
     steps each run on its own row; every epoch evaluates the stack in one
@@ -327,15 +341,13 @@ def _train_group(
     run diverges in the epoch where `step` refuses its gradient as
     non-finite, or where its mean training loss or its evaluation is
     non-finite (a non-finite loss shows in that mean).  Once per epoch,
-    after the evaluation, diverged runs leave the stack, and so do runs
-    that have completed their epochs.
+    after the evaluation, diverged runs leave the stack.
     """
     start = time.perf_counter()
     problem = setup.problem
     configs = [config for config, _ in members]
     results = [RunResult(seed, [], [], 0.0) for _, seed in members]
     states = [init_state(problem.dim) for _ in members]
-    scales = [lr_scale_sequence(config.schedule, config.epochs) for config in configs]
     # the run seed folds into the shuffle stream once, so two seeds of the
     # same config see different batch orders but each is reproducible
     plans = [
@@ -346,20 +358,18 @@ def _train_group(
     # live[r] is the member on stack row r
     live = list(range(len(members)))
     params = np.stack([problem.init_params(seed) for _, seed in members])
-    for epoch in range(max(config.epochs for config in configs)):
+    for epoch, scale in enumerate(lr_scale_sequence(configs[0].schedule, configs[0].epochs)):
         epoch_batches = (
             batches(setup.train, [plans[i] for i in live], epoch)
             if problem.requires_batch
             else [None]
         )
-        steppers = [
-            (results[i], states[i], configs[i].optimizer, scales[i][epoch]) for i in live
-        ]
+        steppers = [(results[i], states[i], configs[i].optimizer) for i in live]
         loss_rows = []
         for batch in epoch_batches:
             losses, grads = problem.loss_grad(params, batch)
             loss_rows.append(losses)
-            for r, (result, state, optimizer, scale) in enumerate(steppers):
+            for r, (result, state, optimizer) in enumerate(steppers):
                 if result.diverged:
                     continue
                 # step scans the gradient and raises before touching any state
@@ -381,8 +391,7 @@ def _train_group(
                 continue
             result.train_loss.append(train_loss)
             result.eval_metric.append(value)
-            if len(result.train_loss) < configs[i].epochs:
-                keep.append(r)
+            keep.append(r)
         if not keep:
             break
         live, params = [live[r] for r in keep], params[keep]
@@ -396,20 +405,20 @@ def _train_group(
 def run_configs(configs: Sequence[RunConfig]) -> list[list[RunResult]]:
     """Every seed of every config: one result list per config, in seed order.
 
-    Runs that share a problem and batch size train together in
-    lockstep groups (see `_train_group`), as many per group as fit in
-    `_STACK_PARAMS` parameters.  Each result is deterministic given its
-    (config, seed) except its elapsed time, which is the group's wall
+    Runs of one protocol (problem, batch size, epochs and schedule) train
+    together in lockstep groups (see `_train_group`), as many per group as
+    fit in `_STACK_PARAMS` parameters.  Each result is deterministic given
+    its (config, seed) except its elapsed time, which is the group's wall
     time divided by the number of runs in the group.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, config in enumerate(configs):
         _check_runnable(config, build_problem(config.problem))
-        plan = config.batch_plan
-        key = (config.problem, None if plan is None else plan.batch_size)
+        batch_size = None if config.batch_plan is None else config.batch_plan.batch_size
+        key = (config.problem, batch_size, config.epochs, config.schedule)
         groups.setdefault(key, []).extend((i, j) for j in range(len(config.seeds)))
     results: list[list[RunResult | None]] = [[None] * len(c.seeds) for c in configs]
-    for (problem, _), members in groups.items():
+    for (problem, *_), members in groups.items():
         setup = build_problem(problem)
         # seed-major order, so a group's runs share few shuffle permutations
         members.sort(key=lambda ij: configs[ij[0]].seeds[ij[1]])
@@ -563,7 +572,7 @@ def load_run_config_file(path: str | Path) -> RunConfig:
         _refuse_unknown_keys(payload, "run")
         config = RunConfig.from_dict(payload["run"])
         _check_runnable(config, build_problem(config.problem))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed run config ({exc})") from None
     return config
 
@@ -654,11 +663,14 @@ def load_results(path: str | Path) -> tuple[RunConfig, list[RunResult]]:
     try:
         _refuse_unknown_keys(payload, "config", "results")
         config = RunConfig.from_dict(payload["config"])
-        results = [RunResult.from_dict(r, config.epochs) for r in payload["results"]]
+        entries = payload["results"]
+        if type(entries) is not list:
+            raise ValueError(f"results must be a list of runs, got {entries!r}")
+        results = [RunResult.from_dict(r, config.epochs) for r in entries]
         seeds = sorted(r.seed for r in results)
         if seeds != sorted(config.seeds):
             raise ValueError(f"result seeds {seeds} are not the config's seeds {[*config.seeds]}")
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed results file ({exc})") from None
     return config, results
 

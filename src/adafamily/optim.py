@@ -51,10 +51,6 @@ class Algorithm(enum.Enum):
     ADAMOMENTUM = "AdaMomentum"
 
 
-class BufferMismatchError(ValueError):
-    """Parameter, gradient, and state buffers disagree in length."""
-
-
 class NonFiniteGradientError(ValueError):
     """A gradient entry is NaN or infinite; the message names its index."""
 
@@ -94,7 +90,10 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is an integer past the float range") from None
         # -0.0 passes the range test but would label a row apart from 0.0
         if not 0.0 <= self.mu <= 1.0 or math.copysign(1.0, self.mu) < 0.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
@@ -203,7 +202,7 @@ def step(
     (pre-update) from the result.
     """
     if not params.shape == grad.shape == state.m.shape:
-        raise BufferMismatchError(
+        raise ValueError(
             f"state shape {state.m.shape}, params shape {params.shape}, grad shape {grad.shape}"
         )
     # a finite sum implies finite entries; the exact scan runs only when the

@@ -6,8 +6,8 @@ them, and prints one row per label, one column per problem, each in
 first-seen order, means at 2 decimals.  `emit_table` works out each cell
 once, into one grid that both formats only print: its value, its rank in
 its column, its divergence count and its run count.  A cell's value is
-the mean of its non-divergent runs' `final_metric`, summed in the order
-the cell lists them (seed order, from the harness).  Ranks are computed
+the float64 mean of its non-divergent runs' `final_metric`, summed in the
+order the cell lists them (seed order, from the harness).  Ranks are computed
 here and only here, from the full-precision means, not the printed
 values: the column minimum is best (bold in Markdown), the runner-up
 second best (italic).  CSV carries the same information as explicit rank
@@ -67,8 +67,10 @@ def emit_table(cells, format: str = "md") -> str:
         column = [cells.get((label, problem), []) for label in labels]
         values = []
         for runs in column:
-            good = [r.final_metric for r in runs if not r.diverged]
-            mean = float(np.mean(good)) if good else math.nan
+            good = np.array([r.final_metric for r in runs if not r.diverged], dtype=np.float64)
+            # a sum past the float range is inf, a mean with no value
+            with np.errstate(over="ignore"):
+                mean = float(np.mean(good)) if good.size else math.nan
             values.append(mean if math.isfinite(mean) else None)
         ranks = ordinal_ranks(values)
         for row, runs, value, rank in zip(grid, column, values, ranks):

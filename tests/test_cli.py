@@ -92,7 +92,7 @@ def test_run_rejects_seeds_it_cannot_run(tmp_path, capsys, seeds):
         ("batch_plan", "batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
         (None, "epochs", True, "epochs must be an integer >= 1, got True"),
         ("optimizer", "mu", True, "mu must be a number, got True"),
-        ("optimizer", "alpha", 10**400, "int too large to convert to float"),
+        ("optimizer", "alpha", 10**400, "alpha is an integer past the float range"),
         (None, "optimizer", [["algorithm", "adam"]], "optimizer must be a JSON object"),
         (None, "problem", "nope", "unknown problem 'nope'"),
         (None, "problem", "quadratic", "problem quadratic is analytic and takes no batch_plan"),
@@ -452,6 +452,67 @@ def test_table_refuses_an_integer_too_large_for_a_float(tmp_path, capsys, keys, 
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: malformed results file (seed 0: ") and rule in err
+
+
+def _number_paths(value, keys=()):
+    """The key path of every number in a JSON value."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [path for key, item in items for path in _number_paths(item, (*keys, key))]
+    return [keys] if type(value) in (int, float) else []
+
+
+@pytest.mark.parametrize("command", ["run", "table"])
+def test_an_integer_past_the_float_range_anywhere_in_a_file_names_the_file(tmp_path, command):
+    # the loaders catch no OverflowError: every rule compares such an int or
+    # names the field it cannot convert
+    path, _ = _edited_input(tmp_path, command, ("version",), 1)
+    load = load_run_config_file if command == "run" else load_results
+    for keys in _number_paths(json.loads(path.read_text())):
+        _edited_input(tmp_path, command, keys, 10**400)
+        try:
+            load(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), keys
+
+
+_SCHEDULE_RULE = "schedule takes [integer milestone, number factor]"
+
+
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [
+        ("seeds", 5, "seeds must be a list of integers, got 5"),
+        ("schedule", [[2]], f"{_SCHEDULE_RULE}: [[2]]"),
+        ("schedule", [[2, 0.5, 1]], f"{_SCHEDULE_RULE}: [[2, 0.5, 1]]"),
+        ("schedule", "ab", f"{_SCHEDULE_RULE}: ab"),
+        ("results", None, "results must be a list of runs, got None"),
+    ],
+    ids=[
+        "seeds-int", "schedule-short-pair", "schedule-long-pair", "schedule-string", "results-null"
+    ],
+)
+def test_a_field_of_the_wrong_shape_is_refused_by_its_rule(tmp_path, capsys, key, value, rule):
+    if key != "results":
+        with pytest.raises(ValueError) as refused:
+            _small_config(**{key: value})
+        assert str(refused.value) == rule
+    keys = (key,) if key == "results" else ("config", key)
+    path, argv = _edited_input(tmp_path, "table", keys, value)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: malformed results file ({rule})\n"
+
+
+@pytest.mark.parametrize("final", [10**308, 1e308], ids=["int", "float"])
+def test_table_prints_no_value_for_a_mean_past_the_float_range(tmp_path, capsys, final):
+    # each value is finite, so the load rules accept it; the cell's sum is not
+    payload = json.loads((FIXTURES / "smoke" / "blobs-mlp1--adam.json").read_text())
+    for run in payload["results"]:
+        run["eval_metric"][-1] = run["final_metric"] = final
+    path = tmp_path / "blobs-mlp1--adam.json"
+    path.write_text(json.dumps(payload))
+    assert main(["table", str(path)]) == 0
+    assert "| Adam | n/a |" in capsys.readouterr().out
 
 
 def test_table_refuses_a_run_cut_short(tmp_path, capsys):

@@ -1212,6 +1212,36 @@ def test_runs_of_a_problem_share_one_loss_grad_call_per_step(temporary_problem):
     assert wide.heights == [1] * 5 * 2 * 15
 
 
+def test_an_integer_past_the_float_range_is_refused_by_its_field():
+    with pytest.raises(ValueError) as refused:
+        OptimizerConfig(algorithm=Algorithm.ADAM, alpha=10**400)
+    assert str(refused.value) == "alpha is an integer past the float range"
+    with pytest.raises(ValueError) as refused:
+        _quad_config(schedule=[(2, 10**400)])
+    assert str(refused.value) == "schedule factor at epoch 2 is an integer past the float range"
+
+
+def test_run_configs_trains_one_group_per_protocol(temporary_problem):
+    counting = _counting(temporary_problem, "count-protocols", hidden=16)
+    family = OptimizerConfig(algorithm=Algorithm.ADAFAMILY, mu=0.25)
+    three = _blobs_config(problem="count-protocols", epochs=3, seeds=(0, 1))
+    configs = [
+        _blobs_config(problem="count-protocols", epochs=2, seeds=(0,)),
+        three,
+        dataclasses.replace(three, schedule=((1, 0.5),), seeds=(0, 1, 2)),
+        # another optimizer on the same protocol shares its group
+        dataclasses.replace(three, optimizer=family, seeds=(2, 3)),
+    ]
+    results = run_configs(configs)
+    # 15 steps per epoch: 1 row for 2 epochs, 2 + 2 rows for 3, 3 rows for 3
+    assert counting.heights == [1] * 30 + [4] * 45 + [3] * 45
+    alone = [
+        [_only_run(dataclasses.replace(config, seeds=(seed,))) for seed in config.seeds]
+        for config in configs
+    ]
+    assert bitwise(results) == bitwise(alone)
+
+
 def test_a_sweep_steps_every_row_once_per_batch(temporary_problem, monkeypatch):
     _counting(temporary_problem, "count-steps", hidden=16)
     rows = _stepped_rows(monkeypatch)
